@@ -14,7 +14,7 @@ source classification's numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import chowcurve
 from .chowcurve import SplittingType
@@ -121,6 +121,8 @@ class ParamConsistencyRule:
     """s = 2e + (n+1)b must be non-negative for an actual fibration."""
 
     name = "param-consistency"
+    # the verdict reads only d, b and s, so the splitting argument may be None
+    reads_splitting = False
 
     def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
         if s < 0:
@@ -351,21 +353,78 @@ class Candidate:
     beyond_paper: bool = False
 
 
-def _descending_sums(slots: int, total: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing integer tuples with entries in [lo, hi] and fixed sum."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    v_min = max(lo, -(-total // slots))  # need slots * v >= total
-    v_max = min(hi, total - (slots - 1) * lo)
-    for v in range(v_min, v_max + 1):
-        for rest in _descending_sums(slots - 1, total - v, lo, min(v, hi)):
-            yield (v, *rest)
+def _ascending_sums(
+    length: int, total: int, lo: int, first_hi: int, hi: int, top_hi: int, pair_max: int
+) -> list[tuple[int, ...]]:
+    """Nondecreasing integer tuples with a fixed sum, in lexicographic order.
+
+    Every entry is at least ``lo``; the first is at most ``first_hi``,
+    the others below the top at most ``hi``, the top at most ``top_hi``,
+    and the top two sum to at most ``pair_max``.  Needs length >= 3 and
+    2 * hi <= pair_max: then only the top can break the pair bound, and
+    counting the top pair's room as min(pair_max, hi + top_hi) enforces it.
+
+    The walk keeps an explicit stack of positions and their value ranges.
+    Each range starts where the later entries can still hold what is
+    left.  Once the entries are at v, only the last (excess over v)
+    positions can rise above v, so the positions before them are set to
+    v in one step instead of one stack level each.  The top pair is
+    filled in a closed loop: with R left to place it is (x, R - x).
+    """
+    m = length - 1  # index of the top entry
+    pair_room = min(pair_max, hi + top_hi)
+    prefix = [0] * (m - 1)  # entries 0 .. m-2
+    left = [0] * (m - 1)  # left[p]: sum still to place from position p on
+    left[0] = total
+    low = max(lo, total - (m - 2) * hi - pair_room)
+    positions = [0]
+    ranges = [iter(range(low, min(first_hi, hi, total // length) + 1))]
+    out = []
+    # bounds are clamped with comparisons: max()/min() calls cost a third of this loop
+    while ranges:
+        v = next(ranges[-1], None)
+        if v is None:
+            ranges.pop()
+            positions.pop()
+            continue
+        i = positions[-1]
+        rest = left[i] - v
+        # later entries below the top equal v up to position j
+        if v == hi:
+            j = m - 1
+        else:
+            j = m - (rest - (m - i) * v)
+            if j < i:
+                j = i
+        if j < m - 2:
+            prefix[i : j + 1] = [v] * (j + 1 - i)
+            rest -= (j - i) * v
+            left[j + 1] = rest
+            low = rest - (m - 3 - j) * hi - pair_room
+            if low < v:
+                low = v
+            up = rest // (m - j)
+            if up > hi:
+                up = hi
+            positions.append(j + 1)
+            ranges.append(iter(range(low, up + 1)))
+            continue
+        prefix[i:] = [v] * (m - 1 - i)
+        rest -= (m - 2 - i) * v
+        head = tuple(prefix)
+        x, up = rest - top_hi, rest // 2
+        if x < v:
+            x = v
+        if up > hi:
+            up = hi
+        while x <= up:
+            out.append(head + (x, rest - x))
+            x += 1
+    return out
 
 
-def _generate_splittings(d: int, e: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Sorted candidate tuples of length n+1 summing to e, finitely bounded.
+def _generate_splittings(d: int, e: int, n: int) -> list[tuple[int, ...]]:
+    """Ascending candidate tuples of length n+1 summing to e, in sorted order.
 
     Two disjoint regimes cover everything that any rule chain containing
     truncation positivity can admit:
@@ -376,7 +435,9 @@ def _generate_splittings(d: int, e: int, n: int) -> Iterator[tuple[int, ...]]:
 
     Tuples outside these bounds are excluded wholesale by the truncation
     rule, so omitting them keeps the enumeration finite without losing
-    any admissible candidate.
+    any admissible candidate.  Every tuple of the first regime sorts
+    before every tuple of the second and neither repeats a tuple, so the
+    result is sorted and duplicate-free.
     """
     length = n + 1
     cap2 = (d - 1) // 2
@@ -384,18 +445,23 @@ def _generate_splittings(d: int, e: int, n: int) -> Iterator[tuple[int, ...]]:
         raise UnboundedEnumerationError(f"no finite bounds for d = {d}")
     lo = e - (n - 1) * cap2
     hi = n * cap2 - e
-    # e_0 <= 0 regime: impose the top-pair cap during generation
-    top_max = min(hi, e - (length - 1) * lo)
-    for top in range(max(lo, -(-e // length)), top_max + 1):
-        second_hi = min(top, cap2 - top)
-        for rest in _descending_sums(length - 1, e - top, lo, second_hi):
-            tup = (top, *rest)
-            if tup[-1] <= 0:
-                yield tuple(reversed(tup))
+    # e_0 <= 0 regime: every entry below the top is at most half the pair cap
+    splittings = _ascending_sums(length, e, lo, 0, min(hi, cap2 // 2), hi, cap2)
     # e_0 >= 1 regime
     if e - n >= 1:
-        for tup in _descending_sums(length, e, 1, e - n):
-            yield tuple(reversed(tup))
+        top = e - n
+        splittings += _ascending_sums(length, e, 1, top, top, top, 2 * top)
+    return splittings
+
+
+def _first_failure(
+    rules: Sequence, splitting: SplittingType | None, d: int, b: int, s: int
+) -> RuleResult | None:
+    for rule in rules:
+        trace = rule.check(splitting, d=d, b=b, s=s)
+        if trace is not None:
+            return trace
+    return None
 
 
 def enumerate_quadric_splittings(
@@ -411,6 +477,13 @@ def enumerate_quadric_splittings(
     order, recording either admission or the first excluding rule.  The
     output is canonically sorted by (n, splitting) and is deterministic.
 
+    The leading run of rules whose verdict reads only (d, b, s), marked
+    ``reads_splitting = False``, is checked once per fibre dimension.
+    When one of them fires, every tuple at that n is excluded with that
+    one shared trace and no ``SplittingType`` is built for it; otherwise
+    the remaining rules run per candidate.  Traces are the same as when
+    every rule runs on every candidate.
+
     ``paper_rows`` optionally maps splitting tuples to the status text of
     the published table at this degree; admitted candidates found there
     get that text attached, all other admitted candidates are flagged
@@ -420,7 +493,10 @@ def enumerate_quadric_splittings(
         raise ValueError(f"degree must be >= 1, got {d}")
     if n_range is None:
         n_range = default_n_range(d)
-    if any(n < 3 for n in n_range):
+    dims = sorted(set(n_range))
+    if not dims:
+        raise ValueError(f"empty fibre-dimension range at d = {d}")
+    if dims[0] < 3:
         raise ValueError("fibre dimensions below 3 are outside the fibration setting")
     if rules is None:
         rules = default_rules()
@@ -428,17 +504,23 @@ def enumerate_quadric_splittings(
         raise UnboundedEnumerationError(
             "rule set lacks truncation-positivity; enumeration bounds would not be finite"
         )
+    lead = 0
+    while lead < len(rules) and not getattr(rules[lead], "reads_splitting", True):
+        lead += 1
+    param_rules, splitting_rules = rules[:lead], rules[lead:]
     e, b = d - 4, 8 - d
     candidates = []
-    for n in sorted(set(n_range)):
+    for n in dims:
         s = 2 * e + (n + 1) * b
-        for degrees in sorted(set(_generate_splittings(d, e, n))):
-            splitting = SplittingType(degrees)
-            trace = None
-            for rule in rules:
-                trace = rule.check(splitting, d=d, b=b, s=s)
-                if trace is not None:
-                    break
+        trace = _first_failure(param_rules, None, d, b, s)
+        if trace is not None:
+            candidates.extend(
+                Candidate(degrees, n, d, e, b, s, status="excluded", rule=trace)
+                for degrees in _generate_splittings(d, e, n)
+            )
+            continue
+        for degrees in _generate_splittings(d, e, n):
+            trace = _first_failure(splitting_rules, SplittingType(degrees), d, b, s)
             if trace is not None:
                 candidates.append(
                     Candidate(degrees, n, d, e, b, s, status="excluded", rule=trace)

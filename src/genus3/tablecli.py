@@ -78,7 +78,11 @@ def _to_row(table: str, index: int, raw: object) -> ClassificationRow:
     for name in _REQUIRED_FIELDS[table]:
         if name not in raw:
             raise FixtureError(f"row {index}: missing field {name!r}")
-    if table == "3.25" and not all(isinstance(x, int) for x in raw["splitting"]):
+    splitting = raw.get("splitting")
+    # type(x) is int rejects bool, which isinstance would accept
+    if table == "3.25" and not (
+        isinstance(splitting, list) and all(type(x) is int for x in splitting)
+    ):
         raise FixtureError(f"row {index}: field 'splitting' must be an integer array")
     return ClassificationRow(
         table=table,

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from genus3 import classify
@@ -13,6 +15,7 @@ from genus3.classify import (
     UnboundedEnumerationError,
     admitted_splittings,
     branch_map,
+    default_rules,
     default_n_range,
     delta_bounds,
     elliptic_ampleness_status,
@@ -208,6 +211,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_quadric_splittings(0)
 
+    def test_empty_dimension_range_rejected(self):
+        with pytest.raises(ValueError, match="empty fibre-dimension range"):
+            enumerate_quadric_splittings(9, n_range=range(5, 4))
+        with pytest.raises(ValueError, match="empty fibre-dimension range"):
+            enumerate_quadric_splittings(9, n_range=[])
+
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
             enumerate_quadric_splittings(6, n_range=range(2, 4))
@@ -218,6 +227,99 @@ class TestEnumeration:
         assert default_n_range(10) == range(3, 6)
         assert default_n_range(11) == range(3, 4)
         assert default_n_range(12) == range(3, 4)
+
+
+def reference_enumeration(d, n_range, rules):
+    """Every rule on every candidate, first failure kept: (n, splitting, trace)."""
+    e, b = d - 4, 8 - d
+    rows = []
+    for n in n_range:
+        s = 2 * e + (n + 1) * b
+        for degrees in classify._generate_splittings(d, e, n):
+            splitting = SplittingType(degrees)
+            trace = None
+            for rule in rules:
+                trace = rule.check(splitting, d=d, b=b, s=s)
+                if trace is not None:
+                    break
+            rows.append((n, degrees, trace))
+    return rows
+
+
+def within_generator_bounds(t, d):
+    """The two regimes of the _generate_splittings docstring."""
+    n, e, cap2 = len(t) - 1, d - 4, (d - 1) // 2
+    lo, hi = e - (n - 1) * cap2, n * cap2 - e
+    if t[0] <= 0:
+        return t[0] >= lo and t[-1] <= hi and t[-2] + t[-1] <= cap2
+    return t[-1] <= e - n
+
+
+class TestGenerator:
+    def test_generated_tuples_are_ascending_unique_and_sorted(self):
+        for d in range(1, 13):
+            for n in range(3, 15):
+                tuples = classify._generate_splittings(d, d - 4, n)
+                assert tuples == sorted(set(tuples)), (d, n)
+                assert all(len(t) == n + 1 and sum(t) == d - 4 for t in tuples)
+                assert all(list(t) == sorted(t) for t in tuples)
+                assert all(within_generator_bounds(t, d) for t in tuples)
+
+    def test_every_omitted_tuple_fails_truncation(self):
+        # the docstring's claim: what the bounds leave out, truncation excludes
+        rule = TruncationPositivityRule()
+        for n in range(3, 6):
+            by_sum = {}
+            for t in combinations_with_replacement(range(-7, 8), n + 1):
+                by_sum.setdefault(sum(t), []).append(t)
+            for d in range(1, 13):
+                e, b = d - 4, 8 - d
+                generated = set(classify._generate_splittings(d, e, n))
+                for t in by_sum[e]:
+                    assert (t in generated) == within_generator_bounds(t, d), (d, t)
+                    if t not in generated:
+                        trace = rule.check(SplittingType(t), d=d, b=b, s=2 * e + (n + 1) * b)
+                        assert trace is not None, (d, t)
+
+
+class TestTraceEquivalence:
+    """Checking (d, n)-only rules once per n gives the per-candidate traces."""
+
+    CHAINS = {
+        "default": default_rules,
+        "truncation-first": lambda: [TruncationPositivityRule(), ParamConsistencyRule()],
+        "no-param-consistency": lambda: [
+            r for r in default_rules() if not isinstance(r, ParamConsistencyRule)
+        ],
+    }
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_matches_per_candidate_reference(self, chain):
+        n_range = range(3, 11)
+        for d in range(1, 13):
+            rules = self.CHAINS[chain]()
+            expected = reference_enumeration(d, n_range, rules)
+            candidates = enumerate_quadric_splittings(d, n_range=n_range, rules=rules)
+            assert [(c.n, c.splitting, c.rule) for c in candidates] == expected, d
+            for c in candidates:
+                assert c.status == ("admitted" if c.rule is None else "excluded")
+                assert (c.e, c.b, c.s) == (d - 4, 8 - d, 2 * (d - 4) + (c.n + 1) * (8 - d))
+
+    def test_param_consistency_checked_once_per_dimension(self, monkeypatch):
+        calls = []
+        check = ParamConsistencyRule.check
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs["s"])
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParamConsistencyRule, "check", counted)
+        candidates = enumerate_quadric_splittings(10, n_range=range(3, 15))
+        assert len(calls) == 12
+        hoisted = [c for c in candidates if c.rule and c.rule.rule == "param-consistency"]
+        assert len(hoisted) > len(calls)
+        # one shared trace per fibre dimension
+        assert len({id(c.rule) for c in hoisted}) == len({c.n for c in hoisted})
 
 
 class TestRuleChecks:

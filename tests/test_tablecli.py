@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,26 @@ class TestLoadFixture:
         }))
         with pytest.raises(FixtureError, match="integer array"):
             load_fixture(path)
+
+    def test_boolean_splitting_entry_rejected(self, tmp_path):
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps({
+            "table": "3.25",
+            "rows": [{"d": 4, "splitting": [True, 0, 0, 0], "status": "x"}],
+        }))
+        with pytest.raises(FixtureError, match="row 0: field 'splitting' must be an integer array"):
+            load_fixture(path)
+
+    def test_scalar_splitting_rejected(self, tmp_path, capsys):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps({
+            "table": "3.25",
+            "rows": [{"d": 4, "splitting": 5, "status": "x"}],
+        }))
+        with pytest.raises(FixtureError, match="row 0: field 'splitting' must be an integer array"):
+            load_fixture(path)
+        assert main(["verify", "--table", "3.25", "--fixture", str(path)]) == 2
+        assert "integer array" in capsys.readouterr().err
 
     def test_round_trip_is_lossless(self, tmp_path):
         for table in ("3.25", "2.3", "5.7", "2.8.2", "4.4"):
@@ -222,6 +246,12 @@ class TestCli:
         assert main(["enumerate", "--d", "6", "--rules", "param-consistency"]) == 2
         assert "truncation" in capsys.readouterr().err
 
+    def test_enumerate_empty_dimension_range(self, capsys):
+        assert main(["enumerate", "--d", "9", "--n-min", "5", "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty fibre-dimension range" in captured.err
+
     def test_enumerate_unknown_rule(self, capsys):
         assert main(["enumerate", "--d", "6", "--rules", "nonsense"]) == 2
 
@@ -266,3 +296,16 @@ class TestCli:
 def test_packaged_fixture_path_rejects_unknown():
     with pytest.raises(FixtureError):
         packaged_fixture_path("1.1")
+
+
+def test_python_m_entry_point():
+    src = str(Path(tablecli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "genus3", "invariants",
+         "--base-genus", "0", "--rank", "4", "--c1", "6", "--b", "-2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {"d": 10, "g": 3, "s": 4}
