@@ -12,9 +12,10 @@ Submodules:
   solver, reduction and Delta-genus bookkeeping;
 * ``tablecli`` - table fixtures, verification reports, the brute-force
   ring oracle self-test, and the command-line interface.
-"""
 
-from . import chowcurve, classify, surflat, tablecli
+Submodules are imported on first use, so ``python -m genus3.tablecli``
+runs the module once, as ``__main__``.
+"""
 
 __all__ = ["chowcurve", "classify", "surflat", "tablecli"]
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ coefficient size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -132,107 +132,53 @@ H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ChowElement:
-    """Reduced integer combination of monomials H^i * F^j, j <= 1.
+    """Class h*H^degree + hf*H^(degree-1)*F of a product of divisor classes.
 
-    Canonical form: no monomial of degree above dim P(E) = rank, no key
-    (rank, 0) (rewritten through the defining relation), no zero
-    coefficients.  Equality is coefficient-wise.
+    Every product of k divisor classes has this normal form: F^2 = 0
+    leaves at most one factor F, and at k = rank the relation
+    H^rank = c1*H^(rank-1)*F folds the pure power into the F-term, so
+    there h is 0.  Above degree rank the class is zero.
     """
 
-    coefficients: Mapping[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "coefficients",
-            {key: c for key, c in self.coefficients.items() if c != 0},
-        )
-
-    def coefficient(self, i: int, j: int) -> int:
-        return self.coefficients.get((i, j), 0)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def degrees(self) -> set[int]:
-        return {i + j for (i, j) in self.coefficients}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChowElement):
-            return NotImplemented
-        return dict(self.coefficients) == dict(other.coefficients)
-
-    def __repr__(self) -> str:
-        if not self.coefficients:
-            return "ChowElement(0)"
-        parts = []
-        for (i, j), c in sorted(self.coefficients.items()):
-            mono = "*".join(["H"] * min(i, 1) + ["F"] * j) or "1"
-            head = f"H^{i}" if i > 1 else mono.split("*")[0] if i else ""
-            tail = "*F" if j else ""
-            parts.append(f"{c}*{head or '1'}{tail}")
-        return f"ChowElement({' + '.join(parts)})"
-
-
-def _accumulate(acc: dict[tuple[int, int], int], i: int, j: int, c: int, rank: int, e: int) -> None:
-    # F^2 = 0; H^rank = e * H^(rank-1) * F; degree above rank dies.
-    if c == 0 or j >= 2:
-        return
-    if i >= rank:
-        if i == rank and j == 0:
-            _accumulate(acc, rank - 1, 1, c * e, rank, e)
-        return
-    if i + j > rank:
-        return
-    acc[(i, j)] = acc.get((i, j), 0) + c
-
-
-def reduce_element(bundle: ProjBundleModel, terms: Mapping[tuple[int, int], int]) -> ChowElement:
-    """Canonical form of an arbitrary integer combination of H^i * F^j."""
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), c in terms.items():
-        if i < 0 or j < 0:
-            raise ValueError(f"monomial exponents must be non-negative, got {(i, j)}")
-        _accumulate(acc, i, j, c, bundle.rank, bundle.c1)
-    return ChowElement(acc)
+    degree: int
+    h: int
+    hf: int
 
 
 def multiply_classes(bundle: ProjBundleModel, factors: Sequence[DivisorClass]) -> ChowElement:
-    """Reduced product of divisor classes in the Chow ring of P(E).
+    """Product of divisor classes in the Chow ring of P(E), in normal form.
 
-    The product is expanded factor by factor with eager reduction, so the
-    result is always in canonical form.  Commutative and associative by
-    construction.
+    Multiplying a*H^k + b*H^(k-1)*F by h*H + f*F gives
+    a*h*H^(k+1) + (a*f + b*h)*H^k*F, so the factors fold into one pair of
+    coefficients; the relation is applied once, at the end.
     """
     if not factors:
         raise ValueError("factors must be non-empty")
-    rank, e = bundle.rank, bundle.c1
-    terms: dict[tuple[int, int], int] = {(0, 0): 1}
+    a, b = 1, 0
     for cls in factors:
-        nxt: dict[tuple[int, int], int] = {}
-        for (i, j), c in terms.items():
-            _accumulate(nxt, i + 1, j, c * cls.h, rank, e)
-            _accumulate(nxt, i, j + 1, c * cls.f, rank, e)
-        terms = {key: c for key, c in nxt.items() if c != 0}
-    return ChowElement(terms)
+        a, b = a * cls.h, a * cls.f + b * cls.h
+    degree = len(factors)
+    if degree < bundle.rank:
+        return ChowElement(degree, a, b)
+    if degree == bundle.rank:
+        return ChowElement(degree, 0, a * bundle.c1 + b)
+    return ChowElement(degree, 0, 0)
 
 
 def top_degree(bundle: ProjBundleModel, element: ChowElement) -> int:
     """Integral over P(E) of a class of top degree (= rank).
 
-    The element must be homogeneous of degree rank; in canonical form such
-    a class is a multiple of H^(rank-1)*F, whose integral is its
-    coefficient.
+    In normal form such a class is a multiple of H^(rank-1)*F, whose
+    integral is its coefficient.  A nonzero class of another degree is
+    rejected.
     """
-    reduced = reduce_element(bundle, element.coefficients)
-    degs = reduced.degrees()
-    if degs and degs != {bundle.rank}:
+    if element.degree != bundle.rank and (element.h or element.hf):
         raise ValueError(
-            f"element is not homogeneous of degree {bundle.rank}: degrees {sorted(degs)}"
+            f"element is not homogeneous of degree {bundle.rank}: degree {element.degree}"
         )
-    return reduced.coefficient(bundle.rank - 1, 1)
+    return element.hf
 
 
 def canonical_class(bundle: ProjBundleModel) -> DivisorClass:

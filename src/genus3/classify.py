@@ -476,6 +476,8 @@ def enumerate_quadric_splittings(
     for each fibre dimension in ``n_range``, then applies the rules in
     order, recording either admission or the first excluding rule.  The
     output is canonically sorted by (n, splitting) and is deterministic.
+    The base is rational: e, b and s at each n come from
+    ``quadric_params(0, n)``, which also rejects n < 3.
 
     The leading run of rules whose verdict reads only (d, b, s), marked
     ``reads_splitting = False``, is checked once per fibre dimension.
@@ -496,8 +498,7 @@ def enumerate_quadric_splittings(
     dims = sorted(set(n_range))
     if not dims:
         raise ValueError(f"empty fibre-dimension range at d = {d}")
-    if dims[0] < 3:
-        raise ValueError("fibre dimensions below 3 are outside the fibration setting")
+    params = [quadric_params(0, n) for n in dims]
     if rules is None:
         rules = default_rules()
     if not any(isinstance(rule, TruncationPositivityRule) for rule in rules):
@@ -508,10 +509,9 @@ def enumerate_quadric_splittings(
     while lead < len(rules) and not getattr(rules[lead], "reads_splitting", True):
         lead += 1
     param_rules, splitting_rules = rules[:lead], rules[lead:]
-    e, b = d - 4, 8 - d
     candidates = []
-    for n in dims:
-        s = 2 * e + (n + 1) * b
+    for p in params:
+        n, e, b, s = p.n, p.e(d), p.b(d), p.s(d)
         trace = _first_failure(param_rules, None, d, b, s)
         if trace is not None:
             candidates.extend(

@@ -41,6 +41,8 @@ _REQUIRED_FIELDS = {
     "2.8.2": ("degT", "degG", "c2", "L3"),
     "4.4": ("g_C", "e", "b", "d"),
 }
+# required fields that are not integers; every other required field is one
+_NON_INTEGER_FIELDS = {"splitting", "status", "family"}
 
 
 class FixtureError(ValueError):
@@ -78,8 +80,12 @@ def _to_row(table: str, index: int, raw: object) -> ClassificationRow:
     for name in _REQUIRED_FIELDS[table]:
         if name not in raw:
             raise FixtureError(f"row {index}: missing field {name!r}")
+        # type(x) is int rejects bool, which isinstance would accept
+        if name not in _NON_INTEGER_FIELDS and type(raw[name]) is not int:
+            raise FixtureError(
+                f"row {index}: field {name!r} must be an integer, got {raw[name]!r}"
+            )
     splitting = raw.get("splitting")
-    # type(x) is int rejects bool, which isinstance would accept
     if table == "3.25" and not (
         isinstance(splitting, list) and all(type(x) is int for x in splitting)
     ):
@@ -95,7 +101,10 @@ def _to_row(table: str, index: int, raw: object) -> ClassificationRow:
 
 
 def load_fixture(path) -> list[ClassificationRow]:
-    """Parse a fixture file into rows; schema errors name row and field."""
+    """Parse a fixture file into rows; schema errors name row and field.
+
+    Two rows with the same key are a schema error naming both indexes.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
@@ -113,7 +122,15 @@ def load_fixture(path) -> list[ClassificationRow]:
     rows = document.get("rows", [])
     if not isinstance(rows, list):
         raise FixtureError(f"fixture {path}: 'rows' must be an array")
-    return [_to_row(table, i, raw) for i, raw in enumerate(rows)]
+    loaded = [_to_row(table, i, raw) for i, raw in enumerate(rows)]
+    seen: dict[str, int] = {}
+    for i, row in enumerate(loaded):
+        if row.key in seen:
+            raise FixtureError(
+                f"fixture {path}: rows {seen[row.key]} and {i} share the key {row.key!r}"
+            )
+        seen[row.key] = i
+    return loaded
 
 
 def write_fixture(path, rows: Sequence[ClassificationRow]) -> None:

@@ -14,13 +14,12 @@ from genus3.chowcurve import (
     multiply_classes,
     normal_obstruction,
     quadric_invariants,
-    reduce_element,
     sectional_genus_divisor,
     top_degree,
     truncation_positivity,
     veronese_invariants,
 )
-from genus3.tablecli import naive_product, naive_top_degree
+from genus3.tablecli import naive_product, naive_reduce, naive_top_degree
 
 H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
@@ -28,6 +27,12 @@ F = DivisorClass(0, 1)
 
 def split_bundle(*degrees):
     return ProjBundleModel.split(degrees)
+
+
+def oracle_pair(oracle, degree):
+    """(H^k, H^(k-1)*F) coefficients of a naive-oracle product of k classes."""
+    assert set(oracle) <= {(degree, 0), (degree - 1, 1)}
+    return oracle.get((degree, 0), 0), oracle.get((degree - 1, 1), 0)
 
 
 class TestTypes:
@@ -65,7 +70,8 @@ class TestTypes:
 class TestMultiply:
     def test_fibre_class_squares_to_zero(self):
         bundle = ProjBundleModel(BaseCurve(0), 4, 3)
-        assert multiply_classes(bundle, [F, F]).is_zero()
+        assert multiply_classes(bundle, [F, F]) == ChowElement(2, 0, 0)
+        assert naive_product(4, 3, [(0, 1), (0, 1)]) == {}
 
     def test_top_product_matches_naive_oracle(self):
         # (H-F)^3 (2H-2F) on rank 4, c1 = 6: expansion gives 2H^4 - 8H^3F,
@@ -73,12 +79,15 @@ class TestMultiply:
         bundle = ProjBundleModel(BaseCurve(0), 4, 6)
         product = multiply_classes(bundle, [H - F, H - F, H - F, 2 * H - 2 * F])
         oracle = naive_product(4, 6, [(1, -1), (1, -1), (1, -1), (2, -2)])
-        assert dict(product.coefficients) == oracle == {(3, 1): 4}
+        assert oracle == {(3, 1): 4}
+        assert (product.h, product.hf) == oracle_pair(oracle, 4) == (0, 4)
 
     def test_pure_h_power_reduces(self):
         bundle = ProjBundleModel(BaseCurve(0), 4, 4)
         product = multiply_classes(bundle, [H, H, H, 2 * H])
-        assert dict(product.coefficients) == {(3, 1): 8}
+        assert product == ChowElement(4, 0, 8)
+        oracle = naive_product(4, 4, [(1, 0), (1, 0), (1, 0), (2, 0)])
+        assert (product.h, product.hf) == oracle_pair(oracle, 4)
 
     def test_empty_factor_list_rejected(self):
         with pytest.raises(ValueError):
@@ -114,8 +123,10 @@ class TestTopDegree:
             top_degree(bundle, multiply_classes(bundle, [H]))
 
     def test_reduces_noncanonical_input(self):
+        # 2*H^4 rewrites to 2*c1*H^3*F; the ring applies the same rewrite
         bundle = ProjBundleModel(BaseCurve(0), 4, 5)
-        assert top_degree(bundle, ChowElement({(4, 0): 2})) == 10
+        assert naive_reduce(4, 5, [(4, 0, 2)]) == {(3, 1): 10}
+        assert top_degree(bundle, multiply_classes(bundle, [H, H, H, 2 * H])) == 10
 
     def test_zero_element_integrates_to_zero(self):
         bundle = ProjBundleModel(BaseCurve(0), 4, 5)
@@ -341,23 +352,20 @@ class TestNormalObstruction:
 
 
 class TestReduceElement:
+    """Reduction of raw monomials H^i * F^j, through the naive oracle."""
+
     def test_grothendieck_rewrite(self):
+        assert naive_reduce(4, 7, [(4, 0, 1)]) == {(3, 1): 7}
         bundle = ProjBundleModel(BaseCurve(0), 4, 7)
-        assert reduce_element(bundle, {(4, 0): 1}) == ChowElement({(3, 1): 7})
+        assert multiply_classes(bundle, [H] * 4) == ChowElement(4, 0, 7)
 
     def test_above_dimension_dies(self):
-        bundle = ProjBundleModel(BaseCurve(0), 4, 7)
-        assert reduce_element(bundle, {(5, 0): 1, (4, 1): 2, (2, 2): 3}).is_zero()
-
-    def test_negative_exponent_rejected(self):
-        bundle = ProjBundleModel(BaseCurve(0), 4, 7)
-        with pytest.raises(ValueError):
-            reduce_element(bundle, {(-1, 0): 1})
+        assert naive_reduce(4, 7, [(5, 0, 1), (4, 1, 2), (2, 2, 3)]) == {}
 
 
 def test_naive_oracle_agrees_with_ring_on_mixed_products():
     bundle = ProjBundleModel(BaseCurve(0), 5, 3)
     factors = [(2, -1), (1, 4), (0, 1), (3, 0), (1, -2)]
     ring = multiply_classes(bundle, [DivisorClass(h, f) for h, f in factors])
-    assert dict(ring.coefficients) == naive_product(5, 3, factors)
+    assert (ring.h, ring.hf) == oracle_pair(naive_product(5, 3, factors), 5)
     assert top_degree(bundle, ring) == naive_top_degree(5, 3, factors)

@@ -227,6 +227,11 @@ class TestEnumeration:
         assert default_n_range(10) == range(3, 6)
         assert default_n_range(11) == range(3, 4)
         assert default_n_range(12) == range(3, 4)
+        # above degree 8 the range ends at the last n with s >= 0
+        for d in range(9, 13):
+            n_max = max(default_n_range(d))
+            assert quadric_params(0, n_max).s(d) >= 0
+            assert quadric_params(0, n_max + 1).s(d) < 0
 
 
 def reference_enumeration(d, n_range, rules):

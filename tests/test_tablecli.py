@@ -88,6 +88,32 @@ class TestLoadFixture:
         assert main(["verify", "--table", "3.25", "--fixture", str(path)]) == 2
         assert "integer array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, index, field, value",
+        [("3.25", 0, "d", "4"), ("2.3", 3, "A2", "two"), ("5.7", 0, "r", True)],
+    )
+    def test_non_integer_numeric_field_is_a_schema_error(
+        self, tmp_path, capsys, table, index, field, value
+    ):
+        rows = [dict(r.params) for r in bundled_rows(table)]
+        rows[index][field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"table": table, "rows": rows}))
+        assert main(["verify", "--table", table, "--fixture", str(path)]) == 2
+        message = f"row {index}: field {field!r} must be an integer, got {value!r}"
+        assert message in capsys.readouterr().err
+
+    def test_duplicate_rows_name_both_indexes(self, tmp_path, capsys):
+        for table in ("3.25", "5.7"):
+            rows = [dict(r.params) for r in bundled_rows(table)]
+            rows.append(dict(rows[1]))
+            path = tmp_path / f"duplicate_{table}.json"
+            path.write_text(json.dumps({"table": table, "rows": rows}))
+            with pytest.raises(FixtureError, match=rf"rows 1 and {len(rows) - 1} share the key"):
+                load_fixture(path)
+            assert main(["verify", "--table", table, "--fixture", str(path)]) == 2
+            assert "share the key" in capsys.readouterr().err
+
     def test_round_trip_is_lossless(self, tmp_path):
         for table in ("3.25", "2.3", "5.7", "2.8.2", "4.4"):
             rows = bundled_rows(table)
@@ -191,7 +217,10 @@ class TestVerify:
 class TestSelfTest:
     def test_grid_is_exact(self):
         report = oracle_selftest()
-        assert report.grid_points >= 2000
+        # the exact grid size, so a change to the ring cannot shrink what is compared
+        assert report.grid_points == 2535
+        assert report.veronese_points == 507
+        assert report.corrected_identity_points == 132
         assert report.grid_mismatches == 0 and report.max_deviation == 0
         assert report.veronese_mismatches == 0
         assert report.corrected_identity_failures == 0
@@ -299,13 +328,15 @@ def test_packaged_fixture_path_rejects_unknown():
 
 
 def test_python_m_entry_point():
+    # both module entry points run without a runpy warning on stderr
     src = str(Path(tablecli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-m", "genus3", "invariants",
-         "--base-genus", "0", "--rank", "4", "--c1", "6", "--b", "-2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0
-    assert result.stderr == ""
-    assert json.loads(result.stdout) == {"d": 10, "g": 3, "s": 4}
+    for module in ("genus3", "genus3.tablecli"):
+        result = subprocess.run(
+            [sys.executable, "-m", module, "invariants",
+             "--base-genus", "0", "--rank", "4", "--c1", "6", "--b", "-2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {"d": 10, "g": 3, "s": 4}
