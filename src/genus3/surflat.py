@@ -228,13 +228,24 @@ def deg_t_enumeration() -> tuple[DegTRow, ...]:
 class RowCheck:
     """Recomputation verdict for one surface-table row."""
 
-    family: str
-    key: str
     status: str  # "verified" | "discrepancy"
     expected_AA: int
     recomputed_AA: int
     recomputed_g: int
     note: str = ""
+
+
+# The integer parameters each family of the surface table reads from a row.
+FAMILY_FIELDS = {
+    "I": (),
+    "II": ("KA", "KK"),
+    "III": ("KA",),
+    "IV": ("A2_min",),
+    "V": ("e", "x", "y"),
+    "VI": ("degree",),
+    "VII": ("e", "x", "y"),
+    "VIII": ("KKj", "a"),
+}
 
 
 def _minimal_model_invariants(row: Mapping) -> tuple[int, int, int]:
@@ -278,34 +289,24 @@ def _minimal_model_invariants(row: Mapping) -> tuple[int, int, int]:
 def verify_row_2_3(row: Mapping) -> RowCheck:
     """Recompute (A^2, g) for a surface-table row and compare.
 
-    The row is a mapping with a family tag I..VIII and family-specific
-    parameters; see the bundled fixtures for the exact keys.  Malformed
-    rows raise ValueError.
+    The row is a mapping with a family tag I..VIII, the expected ``A2``,
+    optional blow-up ``weights`` and the family's ``FAMILY_FIELDS``.
+    Malformed rows raise ValueError.
     """
     try:
-        family = row["family"]
         expected_aa = row["A2"]
         weights = WeightSequence(tuple(row.get("weights", ())))
         g_min, aa_min, kk_min = _minimal_model_invariants(row)
     except KeyError as exc:
         raise ValueError(f"surface-table row is missing field {exc}") from exc
     result = minimalization_invariants(g_min, aa_min, kk_min, weights)
-    key = f"{family}-{row.get('row', 1)}" + (f"/e={row['e']}" if "e" in row else "")
-    if result.AA == expected_aa and result.g == 3:
-        return RowCheck(
-            family=family,
-            key=key,
-            status="verified",
-            expected_AA=expected_aa,
-            recomputed_AA=result.AA,
-            recomputed_g=result.g,
-        )
+    note = ""
+    if (result.AA, result.g) != (expected_aa, 3):
+        note = f"recomputed (A^2, g) = ({result.AA}, {result.g}), table says ({expected_aa}, 3)"
     return RowCheck(
-        family=family,
-        key=key,
-        status="discrepancy",
+        status="discrepancy" if note else "verified",
         expected_AA=expected_aa,
         recomputed_AA=result.AA,
         recomputed_g=result.g,
-        note=f"recomputed (A^2, g) = ({result.AA}, {result.g}), table says ({expected_aa}, 3)",
+        note=note,
     )

@@ -1,10 +1,11 @@
 """Fixture storage, table verification, ring self-test and the CLI.
 
-Fixtures are UTF-8 JSON, one document per table, rows as objects; the
-splitting types are integer arrays and status texts are copied verbatim
-from the published tables.  Expected discrepancies are whitelisted in the
-fixture itself (flag ``expect_discrepancy``), so the exception ledger is
-data rather than code.
+Each published table is declared once, in ``TABLES``: its fixture
+schema, row key and recomputation.  Fixtures are UTF-8 JSON, one document
+per table, rows as objects; the splitting types are integer arrays and
+status texts are copied verbatim from the published tables.  Expected
+discrepancies are whitelisted in the fixture itself (flag
+``expect_discrepancy``), so the exception ledger is data rather than code.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
@@ -16,9 +17,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from importlib import resources
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import classify, surflat
 from .chowcurve import (
@@ -31,18 +34,6 @@ from .chowcurve import (
     top_degree,
     veronese_invariants,
 )
-
-TABLE_IDS = ("2.3", "3.25", "5.7", "2.8.2", "4.4")
-
-_REQUIRED_FIELDS = {
-    "3.25": ("d", "splitting", "status"),
-    "2.3": ("family", "row", "A2"),
-    "5.7": ("Ln", "r", "Lpn"),
-    "2.8.2": ("degT", "degG", "c2", "L3"),
-    "4.4": ("g_C", "e", "b", "d"),
-}
-# required fields that are not integers; every other required field is one
-_NON_INTEGER_FIELDS = {"splitting", "status", "family"}
 
 
 class FixtureError(ValueError):
@@ -61,38 +52,42 @@ class ClassificationRow:
     expect_discrepancy: bool = False
 
 
-def _row_key(table: str, raw: Mapping) -> str:
-    if table == "3.25":
-        return f"d={raw['d']} {tuple(raw['splitting'])}"
-    if table == "2.3":
-        key = f"{raw['family']}-{raw['row']}"
-        return key + (f"/e={raw['e']}" if "e" in raw else "")
-    if table == "5.7":
-        return f"({raw['Ln']},{raw['r']},{raw['Lpn']})"
-    if table == "2.8.2":
-        return f"degT={raw['degT']}"
-    return f"type {raw.get('type', raw['d'])}"
+@dataclass(frozen=True)
+class TableSpec:
+    """One published table: its fixture schema, row key and recomputation."""
+
+    fields: tuple[str, ...]  # required integer fields, in exact-list tuple order
+    key: Callable[[Mapping], str]
+    recompute: Callable[[TableSpec, Sequence[ClassificationRow]], Iterable[Verdict]]
+    # required fields of other types: name -> (test of the value, what it must be)
+    other: Mapping[str, tuple[Callable[[object], bool], str]] = field(default_factory=dict)
+    check: Callable[[int, Mapping], None] = lambda index, raw: None  # row-dependent fields
+
+
+def _is_int(value) -> bool:
+    # type(x) is int rejects bool, which isinstance would accept
+    return type(value) is int
+
+
+def _require(index: int, raw: Mapping, name: str, test=_is_int, what="an integer") -> None:
+    if name not in raw:
+        raise FixtureError(f"row {index}: missing field {name!r}")
+    if not test(raw[name]):
+        raise FixtureError(f"row {index}: field {name!r} must be {what}, got {raw[name]!r}")
 
 
 def _to_row(table: str, index: int, raw: object) -> ClassificationRow:
     if not isinstance(raw, dict):
         raise FixtureError(f"row {index}: expected an object, got {type(raw).__name__}")
-    for name in _REQUIRED_FIELDS[table]:
-        if name not in raw:
-            raise FixtureError(f"row {index}: missing field {name!r}")
-        # type(x) is int rejects bool, which isinstance would accept
-        if name not in _NON_INTEGER_FIELDS and type(raw[name]) is not int:
-            raise FixtureError(
-                f"row {index}: field {name!r} must be an integer, got {raw[name]!r}"
-            )
-    splitting = raw.get("splitting")
-    if table == "3.25" and not (
-        isinstance(splitting, list) and all(type(x) is int for x in splitting)
-    ):
-        raise FixtureError(f"row {index}: field 'splitting' must be an integer array")
+    spec = TABLES[table]
+    for name in spec.fields:
+        _require(index, raw, name)
+    for name, (test, what) in spec.other.items():
+        _require(index, raw, name, test, what)
+    spec.check(index, raw)
     return ClassificationRow(
         table=table,
-        key=_row_key(table, raw),
+        key=spec.key(raw),
         params=dict(raw),
         paper_status=str(raw.get("status", "")),
         citation=str(raw.get("citation", "")),
@@ -100,10 +95,11 @@ def _to_row(table: str, index: int, raw: object) -> ClassificationRow:
     )
 
 
-def load_fixture(path) -> list[ClassificationRow]:
+def load_fixture(path, table: str | None = None) -> list[ClassificationRow]:
     """Parse a fixture file into rows; schema errors name row and field.
 
-    Two rows with the same key are a schema error naming both indexes.
+    With ``table`` given, a fixture that declares another table is a schema
+    error.  Two rows with the same key are a schema error naming both indexes.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -116,13 +112,15 @@ def load_fixture(path) -> list[ClassificationRow]:
         ) from exc
     if not isinstance(document, dict) or "table" not in document:
         raise FixtureError(f"fixture {path}: top level must be an object with a 'table' id")
-    table = str(document["table"])
-    if table not in TABLE_IDS:
-        raise FixtureError(f"fixture {path}: unknown table id {table!r}")
+    declared = str(document["table"])
+    if declared not in TABLES:
+        raise FixtureError(f"fixture {path}: unknown table id {declared!r}")
+    if table is not None and declared != table:
+        raise FixtureError(f"fixture {path} declares table {declared!r}, not table {table!r}")
     rows = document.get("rows", [])
     if not isinstance(rows, list):
         raise FixtureError(f"fixture {path}: 'rows' must be an array")
-    loaded = [_to_row(table, i, raw) for i, raw in enumerate(rows)]
+    loaded = [_to_row(declared, i, raw) for i, raw in enumerate(rows)]
     seen: dict[str, int] = {}
     for i, row in enumerate(loaded):
         if row.key in seen:
@@ -134,14 +132,14 @@ def load_fixture(path) -> list[ClassificationRow]:
 
 
 def write_fixture(path, rows: Sequence[ClassificationRow]) -> None:
-    """Serialize rows back into a fixture document (inverse of load_fixture)."""
-    if not rows:
-        document = {"table": "", "rows": []}
-    else:
-        tables = {row.table for row in rows}
-        if len(tables) != 1:
-            raise ValueError(f"rows belong to several tables: {sorted(tables)}")
-        document = {"table": rows[0].table, "rows": [row.params for row in rows]}
+    """Serialize rows back into a fixture document (inverse of load_fixture).
+
+    The table id comes from the rows, so an empty row list is a ValueError.
+    """
+    tables = {row.table for row in rows}
+    if len(tables) != 1:
+        raise ValueError(f"rows must belong to exactly one table, got {sorted(tables)}")
+    document = {"table": rows[0].table, "rows": [row.params for row in rows]}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
@@ -149,8 +147,7 @@ def write_fixture(path, rows: Sequence[ClassificationRow]) -> None:
 
 def packaged_fixture_path(table: str):
     """Path of the bundled fixture for a table id."""
-    if table not in TABLE_IDS:
-        raise FixtureError(f"unknown table id {table!r}")
+    _spec(table)
     name = "table_" + table.replace(".", "_") + ".json"
     return resources.files("genus3").joinpath("fixtures", name)
 
@@ -168,6 +165,17 @@ class Verdict:
     recomputed: str = ""
     whitelisted: bool = False
     unexpected: bool = False
+
+
+_VERDICT_COLUMNS = ("key", "verdict", "expected", "recomputed", "whitelisted", "unexpected", "note")
+
+
+def _csv(header: Sequence[str], records: Iterable[Sequence]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)
@@ -203,156 +211,171 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = {
-            "table": self.table,
-            "verdicts": [
-                {
-                    "key": v.key,
-                    "verdict": v.verdict,
-                    "note": v.note,
-                    "expected": v.expected,
-                    "recomputed": v.recomputed,
-                    "whitelisted": v.whitelisted,
-                    "unexpected": v.unexpected,
-                }
-                for v in self.verdicts
-            ],
-            "counts": self.counts,
-            "exit_status": self.exit_status,
-        }
+        payload = asdict(self) | {"counts": self.counts, "exit_status": self.exit_status}
         return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["key", "verdict", "expected", "recomputed", "whitelisted", "unexpected", "note"])
-        for v in self.verdicts:
-            writer.writerow(
-                [v.key, v.verdict, v.expected, v.recomputed, v.whitelisted, v.unexpected, v.note]
-            )
-        return buffer.getvalue()
+        return _csv(_VERDICT_COLUMNS, map(attrgetter(*_VERDICT_COLUMNS), self.verdicts))
 
 
-def _verify_2_3(rows: Sequence[ClassificationRow]) -> VerificationReport:
-    verdicts = []
+def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
     for row in rows:
         check = surflat.verify_row_2_3(row.params)
-        if check.status == "verified":
-            verdicts.append(
-                Verdict(
-                    key=check.key,
-                    verdict="verified",
-                    expected=f"A^2={check.expected_AA}, g=3",
-                    recomputed=f"A^2={check.recomputed_AA}, g={check.recomputed_g}",
-                )
-            )
-        else:
-            verdicts.append(
-                Verdict(
-                    key=check.key,
-                    verdict="discrepancy",
-                    note=check.note,
-                    expected=f"A^2={check.expected_AA}, g=3",
-                    recomputed=f"A^2={check.recomputed_AA}, g={check.recomputed_g}",
-                    whitelisted=row.expect_discrepancy,
-                    unexpected=not row.expect_discrepancy,
-                )
-            )
-    return VerificationReport(table="2.3", verdicts=tuple(verdicts))
+        flagged = check.status == "discrepancy"
+        yield Verdict(
+            key=row.key,
+            verdict=check.status,
+            note=check.note,
+            expected=f"A^2={check.expected_AA}, g=3",
+            recomputed=f"A^2={check.recomputed_AA}, g={check.recomputed_g}",
+            whitelisted=flagged and row.expect_discrepancy,
+            unexpected=flagged and not row.expect_discrepancy,
+        )
 
 
-def _verify_3_25(rows: Sequence[ClassificationRow]) -> VerificationReport:
+def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
     by_d: dict[int, dict[tuple[int, ...], ClassificationRow]] = {}
     for row in rows:
         by_d.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row
-    verdicts = []
     for d in sorted(set(by_d) | set(range(1, 13))):
         table_rows = {split: row.paper_status for split, row in by_d.get(d, {}).items()}
         candidates = classify.enumerate_quadric_splittings(d, paper_rows=table_rows)
         admitted = {c.splitting: c for c in candidates if c.status == "admitted"}
         for split, row in sorted(by_d.get(d, {}).items()):
             if split in admitted:
-                verdicts.append(Verdict(key=row.key, verdict="verified"))
+                yield Verdict(key=row.key, verdict="verified")
             else:
                 excluded = {c.splitting: c for c in candidates if c.status == "excluded"}
                 trace = str(excluded[split].rule) if split in excluded else "not generated"
-                verdicts.append(
-                    Verdict(
-                        key=row.key,
-                        verdict="paper-only",
-                        note=f"enumerator rejects a published row: {trace}",
-                        unexpected=True,
-                    )
+                yield Verdict(
+                    key=row.key,
+                    verdict="paper-only",
+                    note=f"enumerator rejects a published row: {trace}",
+                    unexpected=True,
                 )
         for split, cand in sorted(admitted.items()):
             if cand.beyond_paper:
-                verdicts.append(
-                    Verdict(
-                        key=f"d={d} {split}",
-                        verdict="beyond-paper",
-                        note="admitted by the default rules but absent from the published list",
-                        unexpected=d >= 4,
-                    )
-                )
-    return VerificationReport(table="3.25", verdicts=tuple(verdicts))
-
-
-def _verify_exact_lists(
-    table: str,
-    expected: Sequence[tuple],
-    fixture: Sequence[tuple],
-    keys: Sequence[str],
-) -> VerificationReport:
-    verdicts = []
-    expected_set = set(expected)
-    fixture_set = set(fixture)
-    for item, key in zip(fixture, keys):
-        if item in expected_set:
-            verdicts.append(Verdict(key=key, verdict="verified"))
-        else:
-            verdicts.append(
-                Verdict(key=key, verdict="paper-only", note="not recomputed", unexpected=True)
-            )
-    for item in expected:
-        if item not in fixture_set:
-            verdicts.append(
-                Verdict(
-                    key=str(item),
+                yield Verdict(
+                    key=f"d={d} {split}",
                     verdict="beyond-paper",
-                    note="recomputed but absent from the fixture",
-                    unexpected=True,
+                    note="admitted by the default rules but absent from the published list",
+                    unexpected=d >= 4,
                 )
+
+
+def _verify_exact_list(
+    recompute: Callable[[], Sequence[tuple]],
+    spec: TableSpec,
+    rows: Sequence[ClassificationRow],
+) -> Iterator[Verdict]:
+    """Diff a recomputed list of tuples against the rows' ``spec.fields`` tuples."""
+    expected = recompute()
+    fixture = [tuple(row.params[f] for f in spec.fields) for row in rows]
+    for item, row in zip(fixture, rows):
+        if item in expected:
+            yield Verdict(key=row.key, verdict="verified")
+        else:
+            yield Verdict(key=row.key, verdict="paper-only", note="not recomputed", unexpected=True)
+    for item in expected:
+        if item not in fixture:
+            yield Verdict(
+                key=str(item),
+                verdict="beyond-paper",
+                note="recomputed but absent from the fixture",
+                unexpected=True,
             )
-    return VerificationReport(table=table, verdicts=tuple(verdicts))
+
+
+# ---------------------------------------------------------------------------
+# the table registry
+
+
+def _is_splitting(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) >= 4
+        and all(map(_is_int, value))
+        and value == sorted(value)
+    )
+
+
+def _check_family_fields(index: int, raw: Mapping) -> None:
+    """A 2.3 row carries its family's integer parameters and positive integer weights."""
+    for name in surflat.FAMILY_FIELDS[raw["family"]]:
+        _require(index, raw, name)
+    if "weights" in raw:
+        _require(
+            index, raw, "weights",
+            lambda v: isinstance(v, list) and all(_is_int(m) and m >= 1 for m in v),
+            "an integer array with entries >= 1",
+        )
+
+
+def _key_2_3(raw: Mapping) -> str:
+    return f"{raw['family']}-{raw['row']}" + (f"/e={raw['e']}" if "e" in raw else "")
+
+
+TABLES: dict[str, TableSpec] = {
+    "2.3": TableSpec(
+        fields=("row", "A2"),
+        other={
+            "family": (
+                lambda v: isinstance(v, str) and v in surflat.FAMILY_FIELDS,
+                "one of " + ", ".join(surflat.FAMILY_FIELDS),
+            )
+        },
+        key=_key_2_3,
+        recompute=_verify_2_3,
+        check=_check_family_fields,
+    ),
+    "3.25": TableSpec(
+        fields=("d",),
+        other={
+            "splitting": (_is_splitting, "an integer array, ascending, with at least 4 entries"),
+            "status": (lambda v: isinstance(v, str), "a string"),
+        },
+        key=lambda raw: f"d={raw['d']} {tuple(raw['splitting'])}",
+        recompute=_verify_3_25,
+    ),
+    "5.7": TableSpec(
+        fields=("Ln", "r", "Lpn"),
+        key=lambda raw: f"({raw['Ln']},{raw['r']},{raw['Lpn']})",
+        recompute=partial(
+            _verify_exact_list, lambda: classify.reduction_tuples().general_type_tuples
+        ),
+    ),
+    "2.8.2": TableSpec(
+        fields=("degT", "degG", "c2", "L3"),
+        key=lambda raw: f"degT={raw['degT']}",
+        recompute=partial(
+            _verify_exact_list,
+            lambda: [(r.degT, r.degG, r.c2, r.L3) for r in surflat.deg_t_enumeration()],
+        ),
+    ),
+    "4.4": TableSpec(
+        fields=("g_C", "e", "b", "d"),
+        key=lambda raw: f"type {raw.get('type', raw['d'])}",
+        recompute=partial(
+            _verify_exact_list,
+            lambda: [(s.g_C, s.e, s.b, s.d) for s in classify.veronese_solutions()],
+        ),
+    ),
+}
+TABLE_IDS = tuple(TABLES)
+
+
+def _spec(table: str) -> TableSpec:
+    if table not in TABLES:
+        raise FixtureError(f"unknown table id {table!r}")
+    return TABLES[table]
 
 
 def verify(table: str, rows: Sequence[ClassificationRow]) -> VerificationReport:
     """Recompute a table and diff it against fixture rows."""
+    spec = _spec(table)
     if any(row.table != table for row in rows):
         raise FixtureError(f"rows do not all belong to table {table!r}")
-    if table == "2.3":
-        return _verify_2_3(rows)
-    if table == "3.25":
-        return _verify_3_25(rows)
-    if table == "5.7":
-        record = classify.reduction_tuples()
-        fixture = [(r.params["Ln"], r.params["r"], r.params["Lpn"]) for r in rows]
-        return _verify_exact_lists(
-            table, list(record.general_type_tuples), fixture, [r.key for r in rows]
-        )
-    if table == "2.8.2":
-        expected = [(r.degT, r.degG, r.c2, r.L3) for r in surflat.deg_t_enumeration()]
-        fixture = [
-            (r.params["degT"], r.params["degG"], r.params["c2"], r.params["L3"]) for r in rows
-        ]
-        return _verify_exact_lists(table, expected, fixture, [r.key for r in rows])
-    if table == "4.4":
-        expected = [(s.g_C, s.e, s.b, s.d) for s in classify.veronese_solutions()]
-        fixture = [
-            (r.params["g_C"], r.params["e"], r.params["b"], r.params["d"]) for r in rows
-        ]
-        return _verify_exact_lists(table, expected, fixture, [r.key for r in rows])
-    raise FixtureError(f"unknown table id {table!r}")
+    return VerificationReport(table=table, verdicts=tuple(spec.recompute(spec, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +463,7 @@ class SelfTestReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = {
-            "grid_points": self.grid_points,
-            "grid_mismatches": self.grid_mismatches,
-            "max_deviation": self.max_deviation,
-            "veronese_points": self.veronese_points,
-            "veronese_mismatches": self.veronese_mismatches,
-            "corrected_identity_points": self.corrected_identity_points,
-            "corrected_identity_failures": self.corrected_identity_failures,
-            "variant_identity_counterexamples": [
-                {"n": c.n, "d": c.d, "g_C": c.g_C, "lhs": c.lhs, "rhs": c.rhs}
-                for c in self.variant_identity_counterexamples
-            ],
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self) | {"passed": self.passed}, indent=2)
 
 
 def oracle_selftest() -> SelfTestReport:
@@ -580,29 +589,16 @@ def _candidate_payload(c: classify.Candidate) -> dict:
 
 
 def _candidates_csv(candidates: Sequence[classify.Candidate]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["d", "n", "splitting", "e", "b", "s", "status", "rule", "detail", "citation", "paper_status", "beyond_paper"]
+    header = ("d", "n", "splitting", "e", "b", "s", "status", "rule", "detail", "citation", "paper_status", "beyond_paper")
+    return _csv(
+        header,
+        (
+            [c.d, c.n, " ".join(map(str, c.splitting)), c.e, c.b, c.s, c.status]
+            + ([c.rule.rule, c.rule.detail, c.rule.citation] if c.rule else ["", "", ""])
+            + [c.paper_status or "", c.beyond_paper]
+            for c in candidates
+        ),
     )
-    for c in candidates:
-        writer.writerow(
-            [
-                c.d,
-                c.n,
-                " ".join(str(x) for x in c.splitting),
-                c.e,
-                c.b,
-                c.s,
-                c.status,
-                c.rule.rule if c.rule else "",
-                c.rule.detail if c.rule else "",
-                c.rule.citation if c.rule else "",
-                c.paper_status or "",
-                c.beyond_paper,
-            ]
-        )
-    return buffer.getvalue()
 
 
 def _parse_rules(spec: str) -> list:
@@ -630,13 +626,18 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _emit(fmt: str, **render: Callable[[], str]) -> None:
+    """Print the rendering ``fmt`` picks; CSV already ends with a newline."""
+    print(render[fmt](), end="" if fmt == "csv" else "\n")
+
+
 def _cmd_enumerate(args) -> int:
     n_range = None
     if args.n_min != 3 or args.n_max is not None:
         n_max = args.n_max if args.n_max is not None else max(classify.default_n_range(args.d))
         n_range = range(args.n_min, n_max + 1)
     rules = _parse_rules(args.rules)
-    rows = load_fixture(packaged_fixture_path("3.25"))
+    rows = load_fixture(packaged_fixture_path("3.25"), "3.25")
     paper_rows = {
         tuple(r.params["splitting"]): r.paper_status
         for r in rows
@@ -645,34 +646,25 @@ def _cmd_enumerate(args) -> int:
     candidates = classify.enumerate_quadric_splittings(
         args.d, n_range=n_range, rules=rules, paper_rows=paper_rows
     )
-    if args.format == "json":
-        print(json.dumps([_candidate_payload(c) for c in candidates], indent=2))
-    elif args.format == "csv":
-        print(_candidates_csv(candidates), end="")
-    else:
-        print(_candidates_text(candidates))
+    _emit(
+        args.format,
+        table=lambda: _candidates_text(candidates),
+        json=lambda: json.dumps([_candidate_payload(c) for c in candidates], indent=2),
+        csv=lambda: _candidates_csv(candidates),
+    )
     return 0
 
 
 def _cmd_verify(args) -> int:
     path = args.fixture if args.fixture else packaged_fixture_path(args.table)
-    rows = load_fixture(path)
-    report = verify(args.table, rows)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(report.to_csv(), end="")
-    else:
-        print(report.to_text())
+    report = verify(args.table, load_fixture(path, args.table))
+    _emit(args.format, table=report.to_text, json=report.to_json, csv=report.to_csv)
     return report.exit_status
 
 
 def _cmd_selftest(args) -> int:
     report = oracle_selftest()
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _emit(args.format, table=report.to_text, json=report.to_json)
     return report.exit_status
 
 

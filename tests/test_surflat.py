@@ -1,6 +1,7 @@
 import pytest
 
 from genus3.surflat import (
+    FAMILY_FIELDS,
     DegTRow,
     PairingData,
     RuledModel,
@@ -227,3 +228,20 @@ class TestVerifyRows:
             verify_row_2_3({"family": "V", "row": 1})
         with pytest.raises(ValueError, match="family"):
             verify_row_2_3({"family": "IX", "row": 1, "A2": 2})
+
+    def test_family_fields_are_all_a_family_reads(self):
+        # one row per family, cut down to the keys the schema requires
+        rows = [
+            {"family": "I", "row": 1, "A2": 2},
+            {"family": "II", "row": 1, "KK": 1, "KA": 2, "A2": 2},
+            {"family": "III", "row": 1, "KA": 2, "A2": 2},
+            {"family": "IV", "row": 2, "A2_min": 6, "weights": [2], "A2": 2},
+            {"family": "V", "row": 1, "e": 0, "x": 2, "y": 2, "A2": 8},
+            {"family": "VI", "row": 1, "degree": 4, "A2": 16},
+            {"family": "VII", "row": 1, "e": 0, "x": 2, "y": 4, "A2": 16},
+            {"family": "VIII", "row": 6, "KKj": 1, "a": 6, "weights": [5, 3], "A2": 2},
+        ]
+        assert [row["family"] for row in rows] == list(FAMILY_FIELDS)
+        for row in rows:
+            assert set(row) - {"family", "row", "A2", "weights"} == set(FAMILY_FIELDS[row["family"]])
+            assert verify_row_2_3(row).status == "verified"

@@ -17,6 +17,8 @@ from genus3.tablecli import (
     write_fixture,
 )
 
+MISSING = object()
+
 
 def bundled_rows(table):
     return load_fixture(packaged_fixture_path(table))
@@ -90,7 +92,15 @@ class TestLoadFixture:
 
     @pytest.mark.parametrize(
         "table, index, field, value",
-        [("3.25", 0, "d", "4"), ("2.3", 3, "A2", "two"), ("5.7", 0, "r", True)],
+        [
+            ("3.25", 0, "d", "4"),
+            ("2.3", 3, "A2", "two"),
+            ("5.7", 0, "r", True),
+            # family-specific 2.3 parameters
+            ("2.3", 6, "e", "0"),
+            ("2.3", 6, "x", None),
+            ("2.3", 1, "KK", True),
+        ],
     )
     def test_non_integer_numeric_field_is_a_schema_error(
         self, tmp_path, capsys, table, index, field, value
@@ -102,6 +112,45 @@ class TestLoadFixture:
         assert main(["verify", "--table", table, "--fixture", str(path)]) == 2
         message = f"row {index}: field {field!r} must be an integer, got {value!r}"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table, index, field, value",
+        [
+            ("3.25", 10, "splitting", [1, 0, 0, -2]),  # row 10 reversed
+            ("3.25", 45, "splitting", [0, 0, 0]),  # an appended n = 2 row
+            ("2.3", 4, "weights", 5),
+            ("2.3", 4, "weights", [2, "a"]),
+            ("2.3", 5, "weights", [0]),
+            ("2.3", 6, "x", MISSING),
+            ("2.3", 0, "family", "IX"),
+        ],
+    )
+    def test_malformed_field_names_row_and_field(
+        self, tmp_path, capsys, table, index, field, value
+    ):
+        rows = [dict(r.params) for r in bundled_rows(table)]
+        if index == len(rows):
+            rows.append({"d": 4, "status": "x"})
+        if value is MISSING:
+            del rows[index][field]
+        else:
+            rows[index][field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"table": table, "rows": rows}))
+        assert main(["verify", "--table", table, "--fixture", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"row {index}: " in err and repr(field) in err
+
+    def test_declared_table_must_be_the_requested_one(self, tmp_path, capsys):
+        path = tmp_path / "declared.json"
+        path.write_text('{"table": "2.3", "rows": []}')
+        assert load_fixture(path) == []
+        with pytest.raises(FixtureError, match=r"declares table '2\.3', not table '3\.25'"):
+            load_fixture(path, "3.25")
+        assert main(["verify", "--table", "3.25", "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'2.3'" in captured.err and "'3.25'" in captured.err
 
     def test_duplicate_rows_name_both_indexes(self, tmp_path, capsys):
         for table in ("3.25", "5.7"):
@@ -120,6 +169,15 @@ class TestLoadFixture:
             out = tmp_path / f"copy_{table}.json"
             write_fixture(out, rows)
             assert load_fixture(out) == rows
+
+    def test_write_fixture_needs_rows_of_one_table(self, tmp_path):
+        path = tmp_path / "empty.json"
+        with pytest.raises(ValueError, match="exactly one table"):
+            write_fixture(path, [])
+        assert not path.exists()
+        mixed = bundled_rows("5.7")[:1] + bundled_rows("4.4")[:1]
+        with pytest.raises(ValueError, match="exactly one table"):
+            write_fixture(path, mixed)
 
 
 class TestVerify:
