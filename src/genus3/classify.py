@@ -57,15 +57,13 @@ _BRANCHES = (
 )
 
 
-def branch_map(g_target: int = 3) -> list[BranchRecord]:
+def branch_map() -> list[BranchRecord]:
     """The six structural branches for sectional genus three, n >= 3.
 
-    The split depends on genus-specific adjunction results (the Del
+    The split depends on genus-specific adjunction results: the Del
     Pezzo-type sporadic cases only drop out because their genus differs
-    from three), so other targets are rejected.
+    from three.
     """
-    if g_target != 3:
-        raise ValueError(f"branch map is specific to sectional genus 3, got {g_target}")
     return list(_BRANCHES)
 
 
@@ -226,25 +224,17 @@ class CitedCapRule:
 
     name = "cited-cap"
 
-    def __init__(
-        self,
-        n_caps: Sequence[NCap] = N_CAPS,
-        entry_bounds: Sequence[EntryBound] = ENTRY_BOUNDS,
-    ) -> None:
-        self.n_caps = tuple(n_caps)
-        self.entry_bounds = tuple(entry_bounds)
-
     def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
         n = len(splitting) - 1
         nonzero = tuple(a for a in splitting if a != 0)
-        for cap in self.n_caps:
+        for cap in N_CAPS:
             if nonzero == cap.pattern and n > cap.n_max:
                 return RuleResult(
                     self.name,
                     f"pattern {cap.pattern} caps n at {cap.n_max}, got n = {n}",
                     cap.citation,
                 )
-        for bound in self.entry_bounds:
+        for bound in ENTRY_BOUNDS:
             if d == bound.d and splitting[bound.index] < bound.minimum:
                 return RuleResult(
                     self.name,
@@ -295,32 +285,24 @@ class NormalObstructionRule:
         return RuleResult(self.name, text, "(3.23.2)")
 
 
+# Every rule class, in default chain order: cheap numeric rules before
+# h^0-based ones.  The order only shapes the traces; admitted/excluded
+# status is order-independent because every rule is a monotone filter.
+RULES = (
+    ParamConsistencyRule,
+    TruncationPositivityRule,
+    NoDoubleMinusOneRule,
+    FloorBoundRule,
+    CitedCapRule,
+    Corank1EmptyRule,
+    NormalObstructionRule,
+)
+
+
 def default_rules() -> list:
-    """Default rule chain, cheap numeric rules before h^0-based ones.
+    """The default rule chain: one instance of each class in ``RULES``."""
+    return [rule() for rule in RULES]
 
-    The order only shapes the traces; admitted/excluded status is
-    order-independent because every rule is a monotone filter.
-    """
-    return [
-        ParamConsistencyRule(),
-        TruncationPositivityRule(),
-        NoDoubleMinusOneRule(),
-        FloorBoundRule(),
-        CitedCapRule(),
-        Corank1EmptyRule(),
-        NormalObstructionRule(),
-    ]
-
-
-RULE_FACTORIES = {
-    "param-consistency": ParamConsistencyRule,
-    "truncation-positivity": TruncationPositivityRule,
-    "no-double-minus-one": NoDoubleMinusOneRule,
-    "floor-bound": FloorBoundRule,
-    "cited-cap": CitedCapRule,
-    "corank1-empty": Corank1EmptyRule,
-    "normal-obstruction": NormalObstructionRule,
-}
 
 DEFAULT_N_CAP = 5  # largest fibre dimension occurring in the tables
 
@@ -339,18 +321,37 @@ def default_n_range(d: int) -> range:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One splitting type at degree d, with its first-failed-rule trace."""
+    """One splitting type at degree d, with its first-failed-rule trace.
+
+    Only what the enumeration decided is stored; the fibre dimension n,
+    the parameters e, b, s (rational base) and the status follow from it.
+    """
 
     splitting: tuple[int, ...]
-    n: int
     d: int
-    e: int
-    b: int
-    s: int
-    status: str  # "admitted" | "excluded"
-    rule: RuleResult | None = None
+    rule: RuleResult | None = None  # None: admitted
     paper_status: str | None = None
     beyond_paper: bool = False
+
+    @property
+    def n(self) -> int:
+        return len(self.splitting) - 1
+
+    @property
+    def e(self) -> int:
+        return quadric_params(0, self.n).e(self.d)
+
+    @property
+    def b(self) -> int:
+        return quadric_params(0, self.n).b(self.d)
+
+    @property
+    def s(self) -> int:
+        return quadric_params(0, self.n).s(self.d)
+
+    @property
+    def status(self) -> str:
+        return "admitted" if self.rule is None else "excluded"
 
 
 def _ascending_sums(
@@ -515,30 +516,17 @@ def enumerate_quadric_splittings(
         trace = _first_failure(param_rules, None, d, b, s)
         if trace is not None:
             candidates.extend(
-                Candidate(degrees, n, d, e, b, s, status="excluded", rule=trace)
-                for degrees in _generate_splittings(d, e, n)
+                Candidate(degrees, d, trace) for degrees in _generate_splittings(d, e, n)
             )
             continue
         for degrees in _generate_splittings(d, e, n):
             trace = _first_failure(splitting_rules, SplittingType(degrees), d, b, s)
             if trace is not None:
-                candidates.append(
-                    Candidate(degrees, n, d, e, b, s, status="excluded", rule=trace)
-                )
+                candidates.append(Candidate(degrees, d, trace))
                 continue
             known = None if paper_rows is None else paper_rows.get(degrees)
             candidates.append(
-                Candidate(
-                    degrees,
-                    n,
-                    d,
-                    e,
-                    b,
-                    s,
-                    status="admitted",
-                    paper_status=known,
-                    beyond_paper=paper_rows is not None and known is None,
-                )
+                Candidate(degrees, d, None, known, paper_rows is not None and known is None)
             )
     return candidates
 
@@ -554,8 +542,9 @@ def elliptic_ampleness_status(d: int) -> str:
     indecomposable bundle of positive degree on an elliptic curve is
     ample, so decomposability is the only caveat.
     """
-    if not 1 <= d <= 6:
-        raise ValueError(f"elliptic-base degrees lie in [1, 6], got {d}")
+    window = quadric_params(1, 3).d_range
+    if d not in window:
+        raise ValueError(f"elliptic-base degrees lie in [{window[0]}, {window[-1]}], got {d}")
     if d <= 2:
         return "not-ample"
     if d <= 4:
@@ -571,7 +560,7 @@ class VeroneseSolution:
     d: int
 
 
-def veronese_solutions(g_target: int = 3) -> list[VeroneseSolution]:
+def veronese_solutions() -> list[VeroneseSolution]:
     """Parameter solutions for Veronese fibrations of sectional genus three.
 
     Solves e >= 0, e + b = 1, 2 g(C) - 2 + e + 2b = 0 and d = 8e + 12b > 0
@@ -579,8 +568,6 @@ def veronese_solutions(g_target: int = 3) -> list[VeroneseSolution]:
     genus three.  The system collapses to e = 2 g(C), d = 12 - 8 g(C), so
     only rational and elliptic bases survive.
     """
-    if g_target != 3:
-        raise ValueError(f"solver is specific to sectional genus 3, got {g_target}")
     solutions = []
     g_c = 0
     while True:
@@ -620,15 +607,13 @@ _GENERAL_TYPE_TUPLES: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def reduction_tuples(g_target: int = 3) -> ReductionRecord:
+def reduction_tuples() -> ReductionRecord:
     """Degree bookkeeping for iterated simple blow-downs.
 
     Returns the (L^n, r, L'^n) list for reductions whose minimal model has
     nef adjoint, plus the bound r <= 3 when the minimal model is the
     elliptic Veronese fibration (there 4 = L^3 + r with L^3 >= 1).
     """
-    if g_target != 3:
-        raise ValueError(f"reduction bookkeeping is specific to genus 3, got {g_target}")
     for ln, r, lpn in _GENERAL_TYPE_TUPLES:
         assert 2 <= lpn <= 4 and r >= 1 and ln == lpn - r and ln >= 1
     return ReductionRecord(
@@ -682,13 +667,11 @@ _DELTA_NOTES: tuple[DeltaNote, ...] = (
 )
 
 
-def delta_bounds(g_target: int = 3) -> DeltaRecord:
+def delta_bounds() -> DeltaRecord:
     """Degree window 1 <= d <= 4 for the nef-adjoint branch, with case notes.
 
     The adjoint pairing gives 0 <= (K + (n-2)L) L^(n-1) = 4 - d, and
     Delta = 0 would force genus zero, so Delta >= 1 throughout.  The notes
     are carried data keyed by (d, Delta), cited, never recomputed.
     """
-    if g_target != 3:
-        raise ValueError(f"Delta bookkeeping is specific to genus 3, got {g_target}")
     return DeltaRecord(d_range=range(1, 5), notes=_DELTA_NOTES)

@@ -237,7 +237,7 @@ def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator
     by_d: dict[int, dict[tuple[int, ...], ClassificationRow]] = {}
     for row in rows:
         by_d.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row
-    for d in sorted(set(by_d) | set(range(1, 13))):
+    for d in sorted(set(by_d).union(classify.quadric_params(0, 3).d_range)):
         table_rows = {split: row.paper_status for split, row in by_d.get(d, {}).items()}
         candidates = classify.enumerate_quadric_splittings(d, paper_rows=table_rows)
         admitted = {c.splitting: c for c in candidates if c.status == "admitted"}
@@ -311,6 +311,14 @@ def _check_family_fields(index: int, raw: Mapping) -> None:
         )
 
 
+def _check_quadric_relations(index: int, raw: Mapping) -> None:
+    """A 3.25 degree lies in the rational-base window and the splitting sums to e."""
+    window = classify.quadric_params(0, 3).d_range
+    _require(index, raw, "d", window.__contains__, f"in [{window[0]}, {window[-1]}]")
+    e = classify.quadric_params(0, len(raw["splitting"]) - 1).e(raw["d"])
+    _require(index, raw, "splitting", lambda v: sum(v) == e, f"an array summing to e = {e}")
+
+
 def _key_2_3(raw: Mapping) -> str:
     return f"{raw['family']}-{raw['row']}" + (f"/e={raw['e']}" if "e" in raw else "")
 
@@ -336,6 +344,7 @@ TABLES: dict[str, TableSpec] = {
         },
         key=lambda raw: f"d={raw['d']} {tuple(raw['splitting'])}",
         recompute=_verify_3_25,
+        check=_check_quadric_relations,
     ),
     "5.7": TableSpec(
         fields=("Ln", "r", "Lpn"),
@@ -601,17 +610,20 @@ def _candidates_csv(candidates: Sequence[classify.Candidate]) -> str:
     )
 
 
+_RULES_BY_NAME = {rule.name: rule for rule in classify.RULES}
+
+
 def _parse_rules(spec: str) -> list:
     if spec == "default":
         return classify.default_rules()
     rules = []
     for name in spec.split(","):
         name = name.strip()
-        if name not in classify.RULE_FACTORIES:
+        if name not in _RULES_BY_NAME:
             raise ValueError(
-                f"unknown rule {name!r}; choose from {', '.join(sorted(classify.RULE_FACTORIES))}"
+                f"unknown rule {name!r}; choose from {', '.join(sorted(_RULES_BY_NAME))}"
             )
-        rules.append(classify.RULE_FACTORIES[name]())
+        rules.append(_RULES_BY_NAME[name]())
     return rules
 
 
@@ -632,10 +644,8 @@ def _emit(fmt: str, **render: Callable[[], str]) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    n_range = None
-    if args.n_min != 3 or args.n_max is not None:
-        n_max = args.n_max if args.n_max is not None else max(classify.default_n_range(args.d))
-        n_range = range(args.n_min, n_max + 1)
+    default_stop = classify.default_n_range(args.d).stop
+    n_range = range(args.n_min, default_stop if args.n_max is None else args.n_max + 1)
     rules = _parse_rules(args.rules)
     rows = load_fixture(packaged_fixture_path("3.25"), "3.25")
     paper_rows = {
@@ -698,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default="default",
         help="'default' or a comma-separated rule list "
-        f"({', '.join(sorted(classify.RULE_FACTORIES))})",
+        f"({', '.join(sorted(_RULES_BY_NAME))})",
     )
     p_enum.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_enum.set_defaults(func=_cmd_enumerate)

@@ -54,7 +54,7 @@ def exclusion(candidates, splitting):
 
 class TestBranchMap:
     def test_six_branches(self):
-        records = branch_map(3)
+        records = branch_map()
         assert len(records) == 6
         assert [r.id for r in records] == [
             "scroll-over-genus3-curve",
@@ -68,10 +68,6 @@ class TestBranchMap:
     def test_nef_adjoint_citation(self):
         records = {r.id: r for r in branch_map()}
         assert records["nef-adjoint"].citation == "(1.5.5)"
-
-    def test_other_genus_rejected(self):
-        with pytest.raises(ValueError):
-            branch_map(2)
 
 
 class TestQuadricParams:
@@ -386,10 +382,6 @@ class TestVeroneseSolutions:
     def test_exact_solution_set(self):
         solutions = veronese_solutions()
         assert [(s.g_C, s.e, s.b, s.d) for s in solutions] == [(0, 0, 1, 12), (1, 2, -1, 4)]
-
-    def test_other_target_rejected(self):
-        with pytest.raises(ValueError):
-            veronese_solutions(2)
 
 
 class TestReductionTuples:

@@ -123,6 +123,10 @@ class TestLoadFixture:
             ("2.3", 5, "weights", [0]),
             ("2.3", 6, "x", MISSING),
             ("2.3", 0, "family", "IX"),
+            # degrees and splitting sums must obey the quadric parameter relations
+            ("3.25", 0, "d", 13),
+            ("3.25", 0, "d", 0),
+            ("3.25", 0, "splitting", [0, 0, 0, 0]),  # sums to 0, not e = 1 - 4
         ],
     )
     def test_malformed_field_names_row_and_field(
@@ -238,10 +242,16 @@ class TestVerify:
         assert report.exit_status == 1
 
     def test_exact_list_tables(self):
-        for table in ("5.7", "2.8.2", "4.4"):
+        keys = {
+            "5.7": ["(1,1,2)", "(1,2,3)", "(1,3,4)", "(2,2,4)", "(3,1,4)"],
+            "2.8.2": ["degT=1", "degT=2", "degT=3", "degT=4"],
+            "4.4": ["type I", "type II"],
+        }
+        for table, expected in keys.items():
             report = verify(table, bundled_rows(table))
             assert report.exit_status == 0
             assert set(report.counts) == {"verified"}
+            assert [v.key for v in report.verdicts] == expected
 
     def test_5_7_detects_tampering(self):
         rows = bundled_rows("5.7")
@@ -334,10 +344,16 @@ class TestCli:
         assert "truncation" in capsys.readouterr().err
 
     def test_enumerate_empty_dimension_range(self, capsys):
-        assert main(["enumerate", "--d", "9", "--n-min", "5", "--n-max", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "empty fibre-dimension range" in captured.err
+        # an explicit empty range, and d = 13 whose default range is empty
+        for argv, d in (
+            (["--d", "9", "--n-min", "5", "--n-max", "3"], 9),
+            (["--d", "13"], 13),
+            (["--d", "13", "--n-min", "4"], 13),
+        ):
+            assert main(["enumerate", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: empty fibre-dimension range at d = {d}\n" == captured.err
 
     def test_enumerate_unknown_rule(self, capsys):
         assert main(["enumerate", "--d", "6", "--rules", "nonsense"]) == 2
