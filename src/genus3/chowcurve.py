@@ -18,53 +18,54 @@ coefficient size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class BaseCurve:
+class BaseCurve(NamedTuple("BaseCurve", [("genus", int)])):
     """A smooth projective curve, carried only through its genus."""
 
-    genus: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"curve genus must be non-negative, got {self.genus}")
+    def __new__(cls, genus: int) -> BaseCurve:
+        if genus < 0:
+            raise ValueError(f"curve genus must be non-negative, got {genus}")
+        return super().__new__(cls, genus)
 
 
-@dataclass(frozen=True)
-class SplittingType:
-    """Sorted degree list (e_0 <= ... <= e_n) of a split bundle on P^1."""
+class SplittingType(tuple):
+    """Sorted degree list (e_0 <= ... <= e_n) of a split bundle on P^1.
 
-    degrees: tuple[int, ...]
+    A tuple of the degrees themselves, so ``len``, iteration and indexing
+    read the degrees.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if len(self.degrees) < 2:
+    __slots__ = ()
+
+    def __new__(cls, degrees: Iterable[int]) -> SplittingType:
+        degrees = tuple(int(d) for d in degrees)
+        if len(degrees) < 2:
             raise ValueError("a splitting type needs at least two summands")
-        if any(a > b for a, b in zip(self.degrees, self.degrees[1:])):
-            raise ValueError(f"degrees must be nondecreasing, got {self.degrees}")
+        if any(a > b for a, b in zip(degrees, degrees[1:])):
+            raise ValueError(f"degrees must be nondecreasing, got {degrees}")
+        return super().__new__(cls, degrees)
+
+    def __repr__(self) -> str:
+        return f"SplittingType(degrees={self.degrees!r})"
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def c1(self) -> int:
-        return sum(self.degrees)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.degrees)
-
-    def __getitem__(self, i: int) -> int:
-        return self.degrees[i]
+        return sum(self)
 
     def drop(self, index: int) -> tuple[int, ...]:
         """Degrees of the corank-one subbundle omitting ``index``."""
-        return self.degrees[:index] + self.degrees[index + 1 :]
+        return self[:index] + self[index + 1 :]
 
 
-@dataclass(frozen=True)
 class ProjBundleModel:
     """Numerical model of P(E) for a bundle E on a curve.
 
@@ -72,32 +73,55 @@ class ProjBundleModel:
     is n = rank - 1), ``c1`` its first Chern number.  A splitting type may
     be attached when the base is rational; splitting-dependent operations
     require it.
+
+    Immutable and compared by value.  Not a named tuple, because
+    ``splitting`` is optional and hypothesis' ``builds`` fills in every
+    field of a named tuple.
     """
 
-    base: BaseCurve
-    rank: int
-    c1: int
-    splitting: SplittingType | None = None
+    __slots__ = ("base", "rank", "c1", "splitting")
 
-    def __post_init__(self) -> None:
-        if self.rank < 2:
-            raise ValueError(f"rank must be at least 2, got {self.rank}")
-        if self.splitting is not None:
-            if self.base.genus != 0:
+    def __init__(self, base: BaseCurve, rank: int, c1: int, splitting: SplittingType | None = None):
+        if rank < 2:
+            raise ValueError(f"rank must be at least 2, got {rank}")
+        if splitting is not None:
+            if base.genus != 0:
                 raise ValueError("split bundles are only modelled over a rational base")
-            if len(self.splitting) != self.rank:
-                raise ValueError(
-                    f"splitting has {len(self.splitting)} summands, rank is {self.rank}"
-                )
-            if self.splitting.c1 != self.c1:
-                raise ValueError(
-                    f"splitting degrees sum to {self.splitting.c1}, c1 is {self.c1}"
-                )
+            if len(splitting) != rank:
+                raise ValueError(f"splitting has {len(splitting)} summands, rank is {rank}")
+            if splitting.c1 != c1:
+                raise ValueError(f"splitting degrees sum to {splitting.c1}, c1 is {c1}")
+        for name, value in zip(self.__slots__, (base, rank, c1, splitting)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return self.base, self.rank, self.c1, self.splitting
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ProjBundleModel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ProjBundleModel is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle build through __init__
+        return ProjBundleModel, self._values()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ProjBundleModel:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = "base={!r}, rank={!r}, c1={!r}, splitting={!r}".format(*self._values())
+        return f"ProjBundleModel({values})"
 
     @classmethod
-    def split(cls, degrees: Sequence[int]) -> "ProjBundleModel":
+    def split(cls, degrees: Sequence[int]) -> ProjBundleModel:
         """Model of a split bundle over the projective line."""
-        st = SplittingType(tuple(degrees))
+        st = SplittingType(degrees)
         return cls(base=BaseCurve(0), rank=len(st), c1=st.c1, splitting=st)
 
     @property
@@ -106,23 +130,26 @@ class ProjBundleModel:
         return self.rank - 1
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer class h*H + f*F on P(E)."""
+class DivisorClass(NamedTuple):
+    """Integer class h*H + f*F on P(E).
+
+    ``+``, ``-``, unary ``-`` and scalar ``*`` act on classes, not as tuple
+    concatenation and repetition.
+    """
 
     h: int
     f: int
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def __add__(self, other: DivisorClass) -> DivisorClass:
         return DivisorClass(self.h + other.h, self.f + other.f)
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
+    def __sub__(self, other: DivisorClass) -> DivisorClass:
         return DivisorClass(self.h - other.h, self.f - other.f)
 
-    def __neg__(self) -> "DivisorClass":
+    def __neg__(self) -> DivisorClass:
         return DivisorClass(-self.h, -self.f)
 
-    def __mul__(self, k: int) -> "DivisorClass":
+    def __mul__(self, k: int) -> DivisorClass:
         return DivisorClass(self.h * k, self.f * k)
 
     __rmul__ = __mul__
@@ -132,8 +159,7 @@ H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True)
-class ChowElement:
+class ChowElement(NamedTuple):
     """Class h*H^degree + hf*H^(degree-1)*F of a product of divisor classes.
 
     Every product of k divisor classes has this normal form: F^2 = 0
@@ -190,8 +216,7 @@ def canonical_class(bundle: ProjBundleModel) -> DivisorClass:
     return DivisorClass(-bundle.rank, 2 * bundle.base.genus - 2 + bundle.c1)
 
 
-@dataclass(frozen=True)
-class QuadricInvariants:
+class QuadricInvariants(NamedTuple):
     """Degree, sectional genus and smoothness defect of a member of |2H + bF|."""
 
     d: int
@@ -235,8 +260,7 @@ def sectional_genus_divisor(
     return value // 2 + 1
 
 
-@dataclass(frozen=True)
-class VeroneseInvariants:
+class VeroneseInvariants(NamedTuple):
     d: int
     g: int
 
@@ -274,8 +298,7 @@ def h0_sym2_twist(splitting: SplittingType, t: int) -> int:
     return h0_line_bundle_sum_P1(_sym2_degrees(splitting.degrees, t))
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(NamedTuple):
     number: int
     applicable: bool
     violated: bool
@@ -318,8 +341,7 @@ def base_locus_index_set(splitting: SplittingType, b: int) -> tuple[int, ...]:
     return tuple(i for i, a in enumerate(splitting.degrees) if 2 * a + b < 0)
 
 
-@dataclass(frozen=True)
-class Corank1Report:
+class Corank1Report(NamedTuple):
     excluded: bool
     witness: int | None
 
@@ -339,8 +361,7 @@ def corank1_emptiness(splitting: SplittingType, b: int) -> Corank1Report:
     return Corank1Report(excluded=False, witness=None)
 
 
-@dataclass(frozen=True)
-class NormalObstructionDetail:
+class NormalObstructionDetail(NamedTuple):
     index_set: tuple[int, ...]
     p: int
     q: int
@@ -353,8 +374,7 @@ class NormalObstructionDetail:
     branch: str
 
 
-@dataclass(frozen=True)
-class NormalObstructionReport:
+class NormalObstructionReport(NamedTuple):
     applicable: bool
     excluded: bool
     detail: NormalObstructionDetail | None
@@ -400,15 +420,6 @@ def normal_obstruction(splitting: SplittingType, b: int) -> NormalObstructionRep
     else:
         branch, excluded = "none", False
     detail = NormalObstructionDetail(
-        index_set=index_set,
-        p=p,
-        q=q,
-        c=c,
-        h0_p=h0_p,
-        h0_q=h0_q,
-        pairing=pairing,
-        self_p=self_p,
-        self_q=self_q,
-        branch=branch,
+        index_set, p, q, c, h0_p, h0_q, pairing, self_p, self_q, branch
     )
     return NormalObstructionReport(applicable=True, excluded=excluded, detail=detail)

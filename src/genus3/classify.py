@@ -13,8 +13,7 @@ source classification's numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import chowcurve
 from .chowcurve import SplittingType
@@ -24,8 +23,7 @@ class UnboundedEnumerationError(ValueError):
     """Raised when a rule set cannot bound the splitting enumeration."""
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(NamedTuple):
     id: str
     citation: str
     description: str
@@ -67,8 +65,7 @@ def branch_map() -> list[BranchRecord]:
     return list(_BRANCHES)
 
 
-@dataclass(frozen=True)
-class QuadricParams:
+class QuadricParams(NamedTuple):
     """Parameter map d -> (e, b, s) for hyperquadric fibrations over a curve."""
 
     g_C: int
@@ -103,8 +100,7 @@ def quadric_params(g_C: int, n: int) -> QuadricParams:
     return QuadricParams(g_C=g_C, n=n)
 
 
-@dataclass(frozen=True)
-class RuleResult:
+class RuleResult(NamedTuple):
     """First violated rule for an excluded candidate."""
 
     rule: str
@@ -176,8 +172,7 @@ class FloorBoundRule:
         return None
 
 
-@dataclass(frozen=True)
-class NCap:
+class NCap(NamedTuple):
     """Cited cap on the fibre dimension for one nonzero-degree pattern."""
 
     pattern: tuple[int, ...]  # sorted nonzero degrees; zeros pad freely
@@ -185,8 +180,7 @@ class NCap:
     citation: str
 
 
-@dataclass(frozen=True)
-class EntryBound:
+class EntryBound(NamedTuple):
     """Cited lower bound on one sorted entry at a fixed degree."""
 
     d: int
@@ -319,8 +313,7 @@ def default_n_range(d: int) -> range:
     return range(3, DEFAULT_N_CAP + 1)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One splitting type at degree d, with its first-failed-rule trace.
 
     Only what the enumeration decided is stored; the fibre dimension n,
@@ -552,8 +545,7 @@ def elliptic_ampleness_status(d: int) -> str:
     return "ample"
 
 
-@dataclass(frozen=True)
-class VeroneseSolution:
+class VeroneseSolution(NamedTuple):
     g_C: int
     e: int
     b: int
@@ -588,8 +580,7 @@ def veronese_solutions() -> list[VeroneseSolution]:
     return solutions
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
+class ReductionRecord(NamedTuple):
     general_type_tuples: tuple[tuple[int, int, int], ...]
     veronese_blowup_bound: int
 
@@ -622,18 +613,16 @@ def reduction_tuples() -> ReductionRecord:
     )
 
 
-@dataclass(frozen=True)
-class DeltaNote:
+class DeltaNote(NamedTuple):
     d: int
     delta: int | None
     text: str
     citation: str
 
 
-@dataclass(frozen=True)
-class DeltaRecord:
+class DeltaRecord(NamedTuple):
     d_range: range
-    notes: tuple[DeltaNote, ...] = field(repr=False)
+    notes: tuple[DeltaNote, ...]
 
 
 _DELTA_NOTES: tuple[DeltaNote, ...] = (

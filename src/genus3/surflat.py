@@ -9,28 +9,27 @@ assert-crashing, so a convention mismatch in one row cannot hide another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class RuledModel:
+class RuledModel(NamedTuple):
     """P^1-bundle over a curve of genus ``base_genus`` with c1(F) = e."""
 
     base_genus: int
     e: int
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(NamedTuple("WeightSequence", [("weights", tuple[int, ...])])):
     """Weights (m_r, ..., m_1) of a chain of (-1)-curve contractions."""
 
-    weights: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(m) for m in self.weights))
-        if any(m < 1 for m in self.weights):
-            raise ValueError(f"weights must be >= 1, got {self.weights}")
+    def __new__(cls, weights: Sequence[int]) -> WeightSequence:
+        weights = tuple(int(m) for m in weights)
+        if any(m < 1 for m in weights):
+            raise ValueError(f"weights must be >= 1, got {weights}")
+        return super().__new__(cls, weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -44,47 +43,50 @@ class WeightSequence:
         return sum(m * m for m in self.weights)
 
 
-@dataclass(frozen=True)
-class PairingData:
+class PairingData(NamedTuple("PairingData", [("KK", int), ("KA", int), ("AA", int)])):
     """Intersection numbers K^2, K.A, A^2 of an abstract polarized surface."""
 
-    KK: int
-    KA: int
-    AA: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if (self.KA + self.AA) % 2 != 0:
-            raise ValueError(f"KA + AA = {self.KA + self.AA} must be even")
+    def __new__(cls, KK: int, KA: int, AA: int) -> PairingData:
+        sectional_genus_surface(KA, AA)  # raises on the parity violation
+        return super().__new__(cls, KK, KA, AA)
 
     @property
     def genus(self) -> int:
-        return (self.KA + self.AA) // 2 + 1
+        return sectional_genus_surface(self.KA, self.AA)
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
+_Vector = tuple[int, ...]
+_LATTICE_FIELDS = [
+    ("labels", tuple[str, ...]),
+    ("gram", tuple[_Vector, ...]),
+    ("K", _Vector),
+    ("A", _Vector | None),
+]
+
+
+class SurfaceLattice(NamedTuple("SurfaceLattice", _LATTICE_FIELDS)):
     """Basis, Gram matrix, canonical class and (optional) polarization."""
 
-    labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    K: tuple[int, ...]
-    A: tuple[int, ...] | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+    def __new__(cls, labels, gram, K, A=None) -> SurfaceLattice:
+        n = len(labels)
+        if len(gram) != n or any(len(row) != n for row in gram):
             raise ValueError("Gram matrix shape must match the basis")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        if len(self.K) != n:
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
+            raise ValueError("Gram matrix must be symmetric")
+        if len(K) != n:
             raise ValueError("canonical vector length must match the basis")
-        if self.A is not None and len(self.A) != n:
+        if A is not None and len(A) != n:
             raise ValueError("polarization vector length must match the basis")
+        return super().__new__(cls, labels, gram, K, A)
 
-    def with_polarization(self, A: Sequence[int]) -> "SurfaceLattice":
-        return replace(self, A=tuple(int(a) for a in A))
+    def with_polarization(self, A: Sequence[int]) -> SurfaceLattice:
+        return SurfaceLattice(self.labels, self.gram, self.K, tuple(int(a) for a in A))
 
 
 def pair(lattice: SurfaceLattice, D1: Sequence[int], D2: Sequence[int]) -> int:
@@ -146,8 +148,7 @@ def sectional_genus_surface(KA: int, AA: int) -> int:
     return (KA + AA) // 2 + 1
 
 
-@dataclass(frozen=True)
-class MinimalizationResult:
+class MinimalizationResult(NamedTuple):
     g: int
     AA: int
     KK: int
@@ -173,8 +174,7 @@ def minimalization_invariants(
     )
 
 
-@dataclass(frozen=True)
-class ScrollCheck:
+class ScrollCheck(NamedTuple):
     passed: bool
     failures: tuple[str, ...]
 
@@ -201,8 +201,7 @@ def scroll_constraints_check(
     return ScrollCheck(passed=not failures, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class DegTRow:
+class DegTRow(NamedTuple):
     degT: int
     degG: int
     c2: int
@@ -224,8 +223,7 @@ def deg_t_enumeration() -> tuple[DegTRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """Recomputation verdict for one surface-table row."""
 
     status: str  # "verified" | "discrepancy"

@@ -7,7 +7,8 @@ status texts are copied verbatim from the published tables.  Expected
 discrepancies are whitelisted in the fixture itself (flag
 ``expect_discrepancy``), so the exception ledger is data rather than code.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error (or an
+internal error, reported in one line without a traceback).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from importlib import resources
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import classify, surflat
 from .chowcurve import (
@@ -40,8 +41,7 @@ class FixtureError(ValueError):
     """Malformed fixture file; the message names the row and field."""
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     """One fixture row: the raw mapping plus its extracted identity."""
 
     table: str
@@ -52,15 +52,14 @@ class ClassificationRow:
     expect_discrepancy: bool = False
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     """One published table: its fixture schema, row key and recomputation."""
 
     fields: tuple[str, ...]  # required integer fields, in exact-list tuple order
     key: Callable[[Mapping], str]
     recompute: Callable[[TableSpec, Sequence[ClassificationRow]], Iterable[Verdict]]
     # required fields of other types: name -> (test of the value, what it must be)
-    other: Mapping[str, tuple[Callable[[object], bool], str]] = field(default_factory=dict)
+    other: Mapping[str, tuple[Callable[[object], bool], str]] = {}
     check: Callable[[int, Mapping], None] = lambda index, raw: None  # row-dependent fields
 
 
@@ -156,8 +155,7 @@ def packaged_fixture_path(table: str):
 # verification reports
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     key: str
     verdict: str  # "verified" | "discrepancy" | "beyond-paper" | "paper-only"
     note: str = ""
@@ -178,8 +176,7 @@ def _csv(header: Sequence[str], records: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     table: str
     verdicts: tuple[Verdict, ...]
 
@@ -211,7 +208,8 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = asdict(self) | {"counts": self.counts, "exit_status": self.exit_status}
+        payload = {"table": self.table, "verdicts": [v._asdict() for v in self.verdicts]}
+        payload |= {"counts": self.counts, "exit_status": self.exit_status}
         return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
@@ -417,8 +415,7 @@ def naive_top_degree(rank: int, c1: int, factors: Sequence[tuple[int, int]]) -> 
     return naive_product(rank, c1, factors).get((rank - 1, 1), 0)
 
 
-@dataclass(frozen=True)
-class IdentityCounterexample:
+class IdentityCounterexample(NamedTuple):
     n: int
     d: int
     g_C: int
@@ -472,7 +469,10 @@ class SelfTestReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self) | {"passed": self.passed}, indent=2)
+        # asdict keeps named tuples as tuples; JSON wants each counterexample as an object
+        counterexamples = [c._asdict() for c in self.variant_identity_counterexamples]
+        payload = asdict(self) | {"variant_identity_counterexamples": counterexamples}
+        return json.dumps(payload | {"passed": self.passed}, indent=2)
 
 
 def oracle_selftest() -> SelfTestReport:
@@ -589,9 +589,7 @@ def _candidate_payload(c: classify.Candidate) -> dict:
         "b": c.b,
         "s": c.s,
         "status": c.status,
-        "rule": None
-        if c.rule is None
-        else {"rule": c.rule.rule, "detail": c.rule.detail, "citation": c.rule.citation},
+        "rule": None if c.rule is None else c.rule._asdict(),
         "paper_status": c.paper_status,
         "beyond_paper": c.beyond_paper,
     }
@@ -737,6 +735,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (FixtureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault in genus3 itself; exit 1 stays "unexpected verdict"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

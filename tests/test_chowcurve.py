@@ -65,6 +65,10 @@ class TestTypes:
     def test_divisor_arithmetic(self):
         assert 2 * (H - F) + F == DivisorClass(2, -1)
         assert -(H - F) == DivisorClass(-1, 1)
+        # class arithmetic, never tuple concatenation or repetition
+        results = (3 * (H - F), (H - F) * 3, H + F, H - F, -H)
+        assert results[0] == results[1] == DivisorClass(3, -3)
+        assert all(type(value) is DivisorClass for value in results)
 
 
 class TestMultiply:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -321,6 +322,30 @@ class TestTraceEquivalence:
         assert len(hoisted) > len(calls)
         # one shared trace per fibre dimension
         assert len({id(c.rule) for c in hoisted}) == len({c.n for c in hoisted})
+
+
+class TestRuleOrder:
+    """The ``RULES`` comment: admitted/excluded status does not depend on chain order."""
+
+    @staticmethod
+    def statuses(d, n_range, rules):
+        candidates = enumerate_quadric_splittings(d, n_range=n_range, rules=rules)
+        admitted = {c.splitting for c in candidates if c.status == "admitted"}
+        return admitted, {c.splitting for c in candidates} - admitted
+
+    @pytest.mark.parametrize("n_range", [None, range(3, 11)], ids=["default", "n-3-to-10"])
+    def test_status_is_order_independent(self, n_range):
+        chains = [default_rules()[::-1]]
+        for seed in (1, 2, 3):
+            chain = default_rules()
+            random.Random(seed).shuffle(chain)
+            chains.append(chain)
+        # the shuffles also take param-consistency out of the leading once-per-n run
+        assert sum(isinstance(chain[0], ParamConsistencyRule) for chain in chains) <= 1
+        for d in range(1, 13):
+            expected = self.statuses(d, n_range, default_rules())
+            for chain in chains:
+                assert self.statuses(d, n_range, chain) == expected, (d, [r.name for r in chain])
 
 
 class TestRuleChecks:

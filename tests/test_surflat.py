@@ -50,6 +50,8 @@ class TestLattices:
         lattice = make_plane()
         with pytest.raises(ValueError):
             pair(lattice, (1, 2), (1,))
+        with pytest.raises(ValueError, match="polarization vector length"):
+            lattice.with_polarization((1, 2))
 
 
 class TestPair:
@@ -81,7 +83,7 @@ class TestSectionalGenus:
             sectional_genus_surface(1, 2)
 
     def test_pairing_data_parity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^KA \+ AA = 3 must be even$"):
             PairingData(KK=1, KA=1, AA=2)
         assert PairingData(KK=1, KA=2, AA=2).genus == 3
 

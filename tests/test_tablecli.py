@@ -355,6 +355,17 @@ class TestCli:
             assert captured.out == ""
             assert f"error: empty fibre-dimension range at d = {d}\n" == captured.err
 
+    def test_internal_error_exits_2_without_traceback(self, monkeypatch, capsys):
+        # exit 1 means only "unexpected verdict"; any other failure is exit 2
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(tablecli, "oracle_selftest", broken)
+        assert main(["oracle-selftest"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: RuntimeError: boom\n"
+
     def test_enumerate_unknown_rule(self, capsys):
         assert main(["enumerate", "--d", "6", "--rules", "nonsense"]) == 2
 
