@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from importlib import resources
 from operator import attrgetter
@@ -404,11 +404,20 @@ def naive_reduce(rank: int, c1: int, terms: Sequence[tuple[int, int, int]]) -> d
 def naive_product(
     rank: int, c1: int, factors: Sequence[tuple[int, int]]
 ) -> dict[tuple[int, int], int]:
-    """Fully expand a product of h*H + f*F factors, then reduce once."""
-    terms = [(0, 0, 1)]
+    """Fully expand a product of h*H + f*F factors in Z[H, F], then reduce once.
+
+    ``coeffs[j]`` is the coefficient of H^(k-j)*F^j after k factors.  Every F^j is
+    kept; no ring relation is applied before ``naive_reduce`` sees the k + 1 terms.
+    """
+    coeffs = [1]
     for h, f in factors:
-        terms = [t for (i, j, c) in terms for t in ((i + 1, j, c * h), (i, j + 1, c * f))]
-    return naive_reduce(rank, c1, terms)
+        expanded, below = [], 0
+        for a in coeffs:
+            expanded.append(h * a + f * below)
+            below = a
+        expanded.append(f * below)
+        coeffs = expanded
+    return naive_reduce(rank, c1, [(len(coeffs) - 1 - j, j, c) for j, c in enumerate(coeffs)])
 
 
 def naive_top_degree(rank: int, c1: int, factors: Sequence[tuple[int, int]]) -> int:
@@ -469,9 +478,10 @@ class SelfTestReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        # asdict keeps named tuples as tuples; JSON wants each counterexample as an object
-        counterexamples = [c._asdict() for c in self.variant_identity_counterexamples]
-        payload = asdict(self) | {"variant_identity_counterexamples": counterexamples}
+        # a shallow copy in field order; JSON wants each counterexample as an object
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        key = "variant_identity_counterexamples"
+        payload[key] = [c._asdict() for c in payload[key]]
         return json.dumps(payload | {"passed": self.passed}, indent=2)
 
 

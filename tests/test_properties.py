@@ -1,6 +1,9 @@
+import types
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genus3 import chowcurve
 from genus3.chowcurve import (
     BaseCurve,
     DivisorClass,
@@ -70,6 +73,44 @@ def test_multiply_is_associative(bundle, factors, cut):
     flat = multiply_classes(bundle, factors)
     combined = naive_reduce(bundle.rank, bundle.c1, terms)
     assert (flat.h, flat.hf) == oracle_pair(combined, len(factors))
+
+
+def term_list_product(rank, c1, factors):
+    """Reference expansion: one (i, j, c) term per monomial path, 2^k terms for k factors."""
+    terms = [(0, 0, 1)]
+    for h, f in factors:
+        terms = [t for (i, j, c) in terms for t in ((i + 1, j, c * h), (i, j + 1, c * f))]
+    return naive_reduce(rank, c1, terms)
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(-6, 6),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=7),
+)
+def test_naive_product_matches_term_list_expansion(rank, c1, factors):
+    assert naive_product(rank, c1, factors) == term_list_product(rank, c1, factors)
+
+
+def _code_names(code):
+    """Global and attribute names a code object uses, nested comprehensions included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def test_naive_oracle_names_nothing_from_the_ring():
+    # the oracle stays independent of the code it checks: no call into chowcurve
+    ring = {"multiply_classes", "top_degree", "ChowElement", "DivisorClass", "ProjBundleModel"}
+    ring |= {
+        name
+        for name, obj in vars(chowcurve).items()
+        if getattr(obj, "__module__", None) == chowcurve.__name__
+    }
+    for fn in (naive_reduce, naive_product, naive_top_degree):
+        assert ring.isdisjoint(_code_names(fn.__code__)), fn.__name__
 
 
 @given(

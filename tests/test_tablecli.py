@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -293,6 +294,37 @@ class TestSelfTest:
         assert report.veronese_mismatches == 0
         assert report.corrected_identity_failures == 0
 
+    def test_broken_ring_is_caught(self, monkeypatch, capsys):
+        real = tablecli.multiply_classes
+
+        def off_by_one(bundle, factors):
+            element = real(bundle, factors)
+            if element.degree == bundle.rank and bundle.c1 == 3:
+                return element._replace(hf=element.hf + 1)
+            return element
+
+        monkeypatch.setattr(tablecli, "multiply_classes", off_by_one)
+        report = oracle_selftest()
+        # every grid point with c1 = 3: 3 base genera x 5 ranks x 13 twists
+        assert report.grid_mismatches == 195
+        assert report.max_deviation == 1
+        assert report.passed is False
+        assert main(["oracle-selftest"]) == 1
+        assert "self-test FAILED" in capsys.readouterr().out
+
+    def test_broken_oracle_is_caught(self, monkeypatch):
+        real = tablecli.naive_top_degree
+
+        def off_by_one(rank, c1, factors):
+            return real(rank, c1, factors) + (1 if rank == 7 else 0)
+
+        monkeypatch.setattr(tablecli, "naive_top_degree", off_by_one)
+        report = oracle_selftest()
+        # every grid point with rank 7: 3 base genera x 13 c1 x 13 twists
+        assert report.grid_mismatches == 507
+        assert report.max_deviation == 1
+        assert report.passed is False
+
     def test_variant_identity_counterexample(self):
         report = oracle_selftest()
         featured = report.variant_identity_counterexamples[0]
@@ -405,6 +437,18 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["variant_identity_counterexamples"][0]["n"] == 3
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("table", "f9fac816e78357fb9ccfd75410b6b450b1c15ac7a2c21d90c846c3c65d4abcc6"),
+            ("json", "e25af53f413531a3622f99d646a61774302caa683c33e8bd498886ab60f5409c"),
+        ],
+    )
+    def test_selftest_output_is_pinned(self, capsys, fmt, digest):
+        # the whole report; the JSON lists all 124 counterexamples in their order
+        assert main(["oracle-selftest", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_packaged_fixture_path_rejects_unknown():
