@@ -43,10 +43,14 @@ class SplittingType(tuple):
     __slots__ = ()
 
     def __new__(cls, degrees: Iterable[int]) -> SplittingType:
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(degrees)
         if len(degrees) < 2:
             raise ValueError("a splitting type needs at least two summands")
-        if any(a > b for a, b in zip(degrees, degrees[1:])):
+        # exact ints only: no silent int() of floats, strings or bools
+        if {*map(type, degrees)} != {int}:
+            bad = next(a for a in degrees if type(a) is not int)
+            raise ValueError(f"degrees must be integers, got {bad!r}")
+        if sorted(degrees) != list(degrees):
             raise ValueError(f"degrees must be nondecreasing, got {degrees}")
         return super().__new__(cls, degrees)
 
@@ -298,14 +302,13 @@ def h0_sym2_twist(splitting: SplittingType, t: int) -> int:
     return h0_line_bundle_sum_P1(_sym2_degrees(splitting.degrees, t))
 
 
-class TruncationReport(NamedTuple):
+class TruncationViolation(NamedTuple):
+    k: int
     number: int
-    applicable: bool
-    violated: bool
 
 
-def truncation_positivity(splitting: SplittingType, b: int, k: int) -> TruncationReport:
-    """Positivity number of the codimension-k coordinate truncation.
+def truncation_positivity(splitting: SplittingType, b: int) -> TruncationViolation | None:
+    """First violated codimension-k coordinate truncation, or None.
 
     For M in |2H + bF| and the subvariety W cut out by the k largest
     coordinate summands, the ring gives
@@ -316,16 +319,22 @@ def truncation_positivity(splitting: SplittingType, b: int, k: int) -> Truncatio
     When e_0 <= 0 the locus W avoids M, so the number must be positive as
     soon as dim(M cap W) = n - k is forced positive; that needs n >= 2 for
     k = 2 and n >= k + 1 for k >= 3 (at n = k the intersection may be
-    empty, so nothing is asserted).
+    empty, so nothing is asserted).  One pass over k = 2, 3, ... keeps
+    the top-k sum running and returns the first applicable k whose
+    number is <= 0, with that number.
     """
-    degrees = splitting.degrees
-    n = len(degrees) - 1
-    if not 2 <= k <= n:
-        raise ValueError(f"k must lie in [2, {n}], got {k}")
-    d = 2 * splitting.c1 + b
-    number = d - 2 * sum(degrees[-k:])
-    applicable = degrees[0] <= 0 and (k == 2 or n >= k + 1)
-    return TruncationReport(number=number, applicable=applicable, violated=applicable and number <= 0)
+    n = len(splitting) - 1
+    if splitting[0] > 0:
+        return None
+    d = 2 * sum(splitting) + b
+    top = splitting[n]
+    k_max = n - 1 if n >= 3 else n  # k = n applies only as k = 2; n = 1 has none
+    for k in range(2, k_max + 1):
+        top += splitting[n + 1 - k]
+        number = d - 2 * top
+        if number <= 0:
+            return TruncationViolation(k, number)
+    return None
 
 
 def base_locus_index_set(splitting: SplittingType, b: int) -> tuple[int, ...]:

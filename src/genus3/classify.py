@@ -13,6 +13,7 @@ source classification's numbering.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from . import chowcurve
@@ -130,17 +131,15 @@ class TruncationPositivityRule:
     name = "truncation-positivity"
 
     def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
-        n = len(splitting) - 1
-        for k in range(2, n + 1):
-            report = chowcurve.truncation_positivity(splitting, b, k)
-            if report.violated:
-                citation = "(3.7)" if k == 2 else "(3.17.1)"
-                return RuleResult(
-                    self.name,
-                    f"k={k}: d - 2*(top-{k} sum) = {report.number} <= 0",
-                    citation,
-                )
-        return None
+        violation = chowcurve.truncation_positivity(splitting, b)
+        if violation is None:
+            return None
+        k, number = violation
+        return RuleResult(
+            self.name,
+            f"k={k}: d - 2*(top-{k} sum) = {number} <= 0",
+            "(3.7)" if k == 2 else "(3.17.1)",
+        )
 
 
 class NoDoubleMinusOneRule:
@@ -508,9 +507,11 @@ def enumerate_quadric_splittings(
         n, e, b, s = p.n, p.e(d), p.b(d), p.s(d)
         trace = _first_failure(param_rules, None, d, b, s)
         if trace is not None:
-            candidates.extend(
-                Candidate(degrees, d, trace) for degrees in _generate_splittings(d, e, n)
+            # all five Candidate fields, built in C: no Python-level call per tuple
+            fields = zip(
+                _generate_splittings(d, e, n), repeat(d), repeat(trace), repeat(None), repeat(False)
             )
+            candidates.extend(map(tuple.__new__, repeat(Candidate), fields))
             continue
         for degrees in _generate_splittings(d, e, n):
             trace = _first_failure(splitting_rules, SplittingType(degrees), d, b, s)

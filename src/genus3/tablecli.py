@@ -500,32 +500,29 @@ def oracle_selftest() -> SelfTestReport:
 
     for g_c in (0, 1, 2):
         for rank in range(3, 8):
+            # the H-power runs depend only on the rank
+            h_run = [(1, 0)] * (rank - 2)
+            h_cls_run = [DivisorClass(1, 0)] * (rank - 2)
             for e in range(-6, 7):
                 bundle = ProjBundleModel(BaseCurve(g_c), rank, e)
                 k_class = canonical_class(bundle)
+                k_shifted = k_class + (rank - 2) * DivisorClass(1, 0)
                 for b in range(-6, 7):
                     grid_points += 1
                     closed = quadric_invariants(bundle, b)
                     member = (2, b)
-                    d_naive = naive_top_degree(rank, e, [(1, 0)] * (rank - 1) + [member])
+                    d_naive = naive_top_degree(rank, e, [(1, 0)] + h_run + [member])
                     adjoint = (k_class.h + 2 + (rank - 2), k_class.f + b)
-                    g2_naive = naive_top_degree(
-                        rank, e, [adjoint] + [(1, 0)] * (rank - 2) + [member]
-                    )
+                    g2_naive = naive_top_degree(rank, e, [adjoint] + h_run + [member])
                     member_cls = DivisorClass(2, b)
                     d_ring = top_degree(
                         bundle,
-                        multiply_classes(
-                            bundle, [DivisorClass(1, 0)] * (rank - 1) + [member_cls]
-                        ),
+                        multiply_classes(bundle, [DivisorClass(1, 0)] + h_cls_run + [member_cls]),
                     )
-                    adjoint_cls = k_class + member_cls + (rank - 2) * DivisorClass(1, 0)
+                    adjoint_cls = k_shifted + member_cls
                     g2_ring = top_degree(
                         bundle,
-                        multiply_classes(
-                            bundle,
-                            [adjoint_cls] + [DivisorClass(1, 0)] * (rank - 2) + [member_cls],
-                        ),
+                        multiply_classes(bundle, [adjoint_cls] + h_cls_run + [member_cls]),
                     )
                     deviation = max(
                         abs(closed.d - d_naive),

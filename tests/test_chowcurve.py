@@ -48,6 +48,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             SplittingType((2,))
 
+    @pytest.mark.parametrize(
+        "degrees, bad",
+        [([0.5, 1.9], "0.5"), (["3", "4"], "'3'"), ([True, 2], "True")],
+        ids=["float", "str", "bool"],
+    )
+    def test_splitting_degrees_must_be_ints(self, degrees, bad):
+        # no silent int(): 0.5 would become 0, "3" would become 3, True would become 1
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            SplittingType(degrees)
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            ProjBundleModel.split(degrees)
+
     def test_bundle_rank_bound(self):
         with pytest.raises(ValueError):
             ProjBundleModel(BaseCurve(0), 1, 0)
@@ -256,51 +268,68 @@ class TestH0Counts:
         assert h0_sym2_twist(SplittingType((0, 0)), 0) == 3
 
 
+def ring_truncation_number(splitting, b, k):
+    """H^(n-k) * (2H + bF) * prod(H - e_i F) over the k largest entries."""
+    bundle = ProjBundleModel.split(splitting)
+    n = len(splitting) - 1
+    factors = [H] * (n - k) + [DivisorClass(2, b)] + [DivisorClass(1, -e) for e in splitting[-k:]]
+    return top_degree(bundle, multiply_classes(bundle, factors))
+
+
+def applicable_codims(splitting):
+    """Codimensions k whose truncation number must be positive."""
+    n = len(splitting) - 1
+    if splitting[0] > 0:
+        return []
+    return [k for k in range(2, n + 1) if k == 2 or n >= k + 1]
+
+
 class TestTruncationPositivity:
     def test_codim3_boundary_case(self):
-        report = truncation_positivity(SplittingType((-1, 0, 1, 1, 1)), 2, 3)
-        assert (report.number, report.applicable, report.violated) == (0, True, True)
+        # k = 2 gives 2 > 0; k = 3 gives 0, the first violation
+        assert truncation_positivity(SplittingType((-1, 0, 1, 1, 1)), 2) == (3, 0)
 
     def test_codim2_positive_case(self):
-        report = truncation_positivity(SplittingType((0, 0, 1, 1)), 2, 2)
-        assert (report.number, report.applicable, report.violated) == (2, True, False)
+        assert truncation_positivity(SplittingType((0, 0, 1, 1)), 2) is None
 
     def test_positive_floor_disables(self):
-        report = truncation_positivity(SplittingType((1, 1, 1, 1)), 0, 2)
-        assert not report.applicable
+        # k = 2 would read 6 - 12 = -6, but e_0 > 0 makes no truncation applicable
+        assert truncation_positivity(SplittingType((1, 1, 1, 1)), 0) is None
+        assert truncation_positivity(SplittingType((1, 1, 1, 5)), -10) is None
 
     def test_codim_equal_to_dimension_inapplicable(self):
-        # at n = k the truncated locus may miss the member entirely
-        report = truncation_positivity(SplittingType((-1, 1, 1, 1)), 2, 3)
-        assert not report.applicable and report.number == 0
+        # at n = k the truncated locus may miss the member entirely: k = 3 reads 0
+        assert ring_truncation_number((-1, 1, 1, 1), 2, 3) == 0
+        assert truncation_positivity(SplittingType((-1, 1, 1, 1)), 2) is None
 
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            truncation_positivity(SplittingType((0, 1, 1)), 0, 3)
-        with pytest.raises(ValueError):
-            truncation_positivity(SplittingType((0, 1, 1)), 0, 1)
+    def test_single_fibre_dimension_has_no_codimension(self):
+        # n = 1 has no k in [2, n]; at n = 2 only k = 2 = n applies
+        assert truncation_positivity(SplittingType((-5, 9)), -20) is None
+        assert truncation_positivity(SplittingType((-1, 2, 2)), 1) == (2, -1)
 
     def test_number_matches_ring_product(self):
-        # H^(n-k) * (2H + bF) * prod(H - e_i F) over the k largest entries
         cases = [
-            ((-1, 0, 1, 1, 1), 2, 3),
-            ((0, 0, 1, 1), 2, 2),
-            ((-2, -1, 0, 0), 7, 2),
-            ((-1, -1, -1, 0, 0), 7, 3),
-            ((0, 0, 0, 1, 1), 2, 2),
-            ((-1, 0, 0, 2), 3, 2),
+            ((-1, 0, 1, 1, 1), 2),
+            ((0, 0, 1, 1), 2),
+            ((-2, -1, 0, 0), 7),
+            ((-1, -1, -1, 0, 0), 7),
+            ((0, 0, 0, 1, 1), 2),
+            ((-1, 0, 0, 2), 3),
+            ((-2, 0, 1, 2), 3),
+            ((-1, 0, 0, 0, 1, 2), -1),
+            ((-2, 0, 1, 1, 1, 1), 3),  # first violated at k = 4
+            ((-1, 2, 2), 1),
         ]
-        for degrees, b, k in cases:
-            splitting = SplittingType(degrees)
-            bundle = ProjBundleModel.split(degrees)
-            n = len(degrees) - 1
-            factors = (
-                [H] * (n - k)
-                + [DivisorClass(2, b)]
-                + [DivisorClass(1, -e) for e in degrees[-k:]]
-            )
-            ring_value = top_degree(bundle, multiply_classes(bundle, factors))
-            assert truncation_positivity(splitting, b, k).number == ring_value
+        for degrees, b in cases:
+            violation = truncation_positivity(SplittingType(degrees), b)
+            ring = {k: ring_truncation_number(degrees, b, k) for k in applicable_codims(degrees)}
+            violated = [k for k, number in ring.items() if number <= 0]
+            if violation is None:
+                assert not violated, degrees
+                continue
+            k, number = violation
+            assert (k, number) == (violated[0], ring[k]), degrees
+            assert number <= 0 and all(ring[j] > 0 for j in ring if j < k)
 
 
 class TestBaseLocus:

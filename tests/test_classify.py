@@ -12,6 +12,7 @@ from genus3.classify import (
     NoDoubleMinusOneRule,
     NormalObstructionRule,
     ParamConsistencyRule,
+    RuleResult,
     TruncationPositivityRule,
     UnboundedEnumerationError,
     admitted_splittings,
@@ -385,6 +386,63 @@ class TestRuleChecks:
     def test_every_cited_bound_carries_a_citation(self):
         assert all(cap.citation for cap in classify.N_CAPS)
         assert all(bound.citation for bound in classify.ENTRY_BOUNDS)
+
+
+def per_k_truncation_reference(splitting, b):
+    """The rule before its one-pass form: one report per k, first violation kept."""
+    degrees = tuple(splitting)
+    n = len(degrees) - 1
+    for k in range(2, n + 1):
+        number = 2 * sum(degrees) + b - 2 * sum(degrees[-k:])
+        applicable = degrees[0] <= 0 and (k == 2 or n >= k + 1)
+        if applicable and number <= 0:
+            citation = "(3.7)" if k == 2 else "(3.17.1)"
+            return RuleResult(
+                "truncation-positivity", f"k={k}: d - 2*(top-{k} sum) = {number} <= 0", citation
+            )
+    return None
+
+
+class TestTruncationRule:
+    def test_matches_per_k_reference_on_every_rule_reaching_tuple(self):
+        rule = TruncationPositivityRule()
+        checked = 0
+        for d in range(1, 13):
+            for n in range(3, 15):
+                params = quadric_params(0, n)
+                e, b, s = params.e(d), params.b(d), params.s(d)
+                if s < 0:
+                    continue
+                for degrees in classify._generate_splittings(d, e, n):
+                    expected = per_k_truncation_reference(degrees, b)
+                    assert rule.check(SplittingType(degrees), d=d, b=b, s=s) == expected, (d, degrees)
+                    checked += 1
+        assert checked == 2580
+
+    @pytest.mark.parametrize(
+        "degrees, b, fires",
+        [
+            ((1, 1, 1, 5), -10, False),  # e_0 > 0: the top pair reads -6, yet nothing applies
+            ((1, 1, 1, 1, 1), -1, False),
+            ((-5, 9), -20, False),  # n = 1: no codimension in [2, n]
+            ((0, 0), -3, False),
+            ((-1, 2, 2), 1, True),  # n = 2: k = 2 = n applies
+        ],
+    )
+    def test_hand_cases_match_per_k_reference(self, degrees, b, fires):
+        d = 2 * sum(degrees) + b
+        expected = per_k_truncation_reference(degrees, b)
+        assert TruncationPositivityRule().check(SplittingType(degrees), d=d, b=b, s=0) == expected
+        assert (expected is not None) == fires
+
+
+class TestDeepFibreDimension:
+    @pytest.mark.parametrize("d, count", [(1, 3), (2, 2), (3, 3), (4, 2)])
+    def test_generator_stays_iterative_at_n_1200(self, d, count):
+        # a recursive generator would hit RecursionError at this depth
+        candidates = enumerate_quadric_splittings(d, n_range=range(1200, 1201))
+        assert len(candidates) == count
+        assert all(len(c.splitting) == 1201 and sum(c.splitting) == d - 4 for c in candidates)
 
 
 class TestEllipticAmpleness:

@@ -147,22 +147,29 @@ def test_h0_sym2_twist_monotone(splitting, t, bump):
     assert h0_sym2_twist(raised, t) >= base
 
 
-@given(splittings, st.integers(-4, 4), st.data())
-def test_truncation_number_matches_ring(splitting, b, data):
+@given(splittings, st.integers(-4, 4))
+def test_truncation_number_matches_ring(splitting, b):
+    # the first applicable violated k, by the ring product at every k
     n = len(splitting) - 1
-    if n < 2:
-        return
-    k = data.draw(st.integers(2, n))
     bundle = ProjBundleModel(
         BaseCurve(0), len(splitting), splitting.c1, splitting
     )
-    factors = (
-        [DivisorClass(1, 0)] * (n - k)
-        + [DivisorClass(2, b)]
-        + [DivisorClass(1, -e) for e in splitting.degrees[-k:]]
-    )
-    ring_value = top_degree(bundle, multiply_classes(bundle, factors))
-    assert truncation_positivity(splitting, b, k).number == ring_value
+    ring = {}
+    for k in range(2, n + 1):
+        if splitting[0] <= 0 and (k == 2 or n >= k + 1):
+            factors = (
+                [DivisorClass(1, 0)] * (n - k)
+                + [DivisorClass(2, b)]
+                + [DivisorClass(1, -e) for e in splitting.degrees[-k:]]
+            )
+            ring[k] = top_degree(bundle, multiply_classes(bundle, factors))
+    violation = truncation_positivity(splitting, b)
+    if violation is None:
+        assert all(number > 0 for number in ring.values())
+    else:
+        k, number = violation
+        assert ring[k] == number <= 0
+        assert all(ring[j] > 0 for j in ring if j < k)
 
 
 ruled_instances = st.tuples(
