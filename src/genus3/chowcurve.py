@@ -21,6 +21,13 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 
+def require_ints(what: str, values: Sequence) -> None:
+    """Reject any value whose type is not exactly int: no silent int() of a float, str or bool."""
+    if {*map(type, values)} - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} must be of type int, got {bad!r}")
+
+
 class BaseCurve(NamedTuple("BaseCurve", [("genus", int)])):
     """A smooth projective curve, carried only through its genus."""
 
@@ -28,6 +35,7 @@ class BaseCurve(NamedTuple("BaseCurve", [("genus", int)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, genus: int) -> BaseCurve:
+        require_ints("curve genus", (genus,))
         if genus < 0:
             raise ValueError(f"curve genus must be non-negative, got {genus}")
         return super().__new__(cls, genus)
@@ -46,10 +54,7 @@ class SplittingType(tuple):
         degrees = tuple(degrees)
         if len(degrees) < 2:
             raise ValueError("a splitting type needs at least two summands")
-        # exact ints only: no silent int() of floats, strings or bools
-        if {*map(type, degrees)} != {int}:
-            bad = next(a for a in degrees if type(a) is not int)
-            raise ValueError(f"degrees must be integers, got {bad!r}")
+        require_ints("degrees", degrees)
         if sorted(degrees) != list(degrees):
             raise ValueError(f"degrees must be nondecreasing, got {degrees}")
         return super().__new__(cls, degrees)
@@ -86,6 +91,7 @@ class ProjBundleModel:
     __slots__ = ("base", "rank", "c1", "splitting")
 
     def __init__(self, base: BaseCurve, rank: int, c1: int, splitting: SplittingType | None = None):
+        require_ints("rank and c1", (rank, c1))
         if rank < 2:
             raise ValueError(f"rank must be at least 2, got {rank}")
         if splitting is not None:
@@ -272,19 +278,17 @@ class VeroneseInvariants(NamedTuple):
 def veronese_invariants(bundle: ProjBundleModel, b: int) -> VeroneseInvariants:
     """Degree and genus of L = 2H + bF on a rank-3 bundle's projectivization.
 
-    Both numbers come out of the ring (d = L^3 and 2g - 2 = (K + 2L)*L^2);
-    the closed forms d = 8e + 12b and 2g - 2 = d + 8*(g(C) - 1) are kept as
-    an independent oracle in the tests.
+    Both numbers come out of the ring: d = L^3, and the genus is that of a
+    member of |L|, a surface with the same sectional curve, so
+    ``sectional_genus_divisor(bundle, L, L)`` gives 2g - 2 = (K + 2L)*L^2.
+    The closed forms d = 8e + 12b and 2g - 2 = d + 8*(g(C) - 1) are kept
+    as an independent oracle in the tests.
     """
     if bundle.rank != 3:
         raise ValueError(f"rank must be 3 for a Veronese fibration model, got {bundle.rank}")
     polarization = DivisorClass(2, b)
     d = top_degree(bundle, multiply_classes(bundle, [polarization] * 3))
-    adjoint = canonical_class(bundle) + 2 * polarization
-    value = top_degree(bundle, multiply_classes(bundle, [adjoint, polarization, polarization]))
-    if value % 2 != 0:
-        raise ValueError(f"odd adjoint number {value}: not of the form 2g - 2")
-    return VeroneseInvariants(d=d, g=value // 2 + 1)
+    return VeroneseInvariants(d=d, g=sectional_genus_divisor(bundle, polarization, polarization))
 
 
 def h0_line_bundle_sum_P1(degrees: Iterable[int]) -> int:
@@ -350,24 +354,19 @@ def base_locus_index_set(splitting: SplittingType, b: int) -> tuple[int, ...]:
     return tuple(i for i, a in enumerate(splitting.degrees) if 2 * a + b < 0)
 
 
-class Corank1Report(NamedTuple):
-    excluded: bool
-    witness: int | None
-
-
-def corank1_emptiness(splitting: SplittingType, b: int) -> Corank1Report:
+def corank1_emptiness(splitting: SplittingType, b: int) -> int | None:
     """Non-existence via an empty restricted system on a corank-one locus.
 
     Removing one summand gives a divisor W = P(E_I) not contained in a
     member M of |2H + bF|, so M cap W must be effective in |2H_W + bF|.
     If h^0 of that restricted system vanishes for some removed index the
-    candidate cannot exist; the first such index is the witness.
+    candidate cannot exist.  Returns the first such index (the witness),
+    or None when every restriction has sections.
     """
-    degrees = splitting.degrees
-    for i in range(len(degrees)):
+    for i in range(len(splitting)):
         if h0_line_bundle_sum_P1(_sym2_degrees(splitting.drop(i), b)) == 0:
-            return Corank1Report(excluded=True, witness=i)
-    return Corank1Report(excluded=False, witness=None)
+            return i
+    return None
 
 
 class NormalObstructionDetail(NamedTuple):
@@ -383,34 +382,30 @@ class NormalObstructionDetail(NamedTuple):
     branch: str
 
 
-class NormalObstructionReport(NamedTuple):
-    applicable: bool
-    excluded: bool
-    detail: NormalObstructionDetail | None
-
-
-def normal_obstruction(splitting: SplittingType, b: int) -> NormalObstructionReport:
+def normal_obstruction(splitting: SplittingType, b: int) -> NormalObstructionDetail | None:
     """Non-existence via the normal-bundle sequence along a surface base locus.
 
-    Defined for rank 4 only.  Applicable when the base locus of |2H + bF|
-    is the surface B = P(E_J) with |J| = 2.  Writing e_a, e_b for the two
-    complementary degrees, p = b + e_a, q = b + e_b and c = c1(E_J), a
-    smooth member would split the normal sequence of B through two
-    sections, of classes H + pF and H + qF on B.  The candidate is
-    excluded when
+    Defined for rank 4 only.  Returns None unless the base locus of
+    |2H + bF| is the surface B = P(E_J) with |J| = 2.  Writing e_a, e_b
+    for the two complementary degrees, p = b + e_a, q = b + e_b and
+    c = c1(E_J), a smooth member would split the normal sequence of B
+    through two sections, of classes H + pF and H + qF on B.  The
+    candidate is excluded, and the detail's ``branch`` names the case, when
 
       * one class has no sections while the other has nonzero
         self-intersection (c + 2p resp. c + 2q), so the surviving section
-        must vanish somewhere; or
+        must vanish somewhere ("vanishing-section"); or
       * both classes have sections but the pairing c + p + q >= 1 forces a
-        common zero.
+        common zero ("pairing").
+
+    Otherwise ``branch`` is "none".
     """
     degrees = splitting.degrees
     if len(degrees) != 4:
         raise ValueError("the normal-bundle obstruction is specific to rank-4 splittings")
     index_set = base_locus_index_set(splitting, b)
     if len(index_set) != 2:
-        return NormalObstructionReport(applicable=False, excluded=False, detail=None)
+        return None
     complement = [i for i in range(4) if i not in index_set]
     e_a, e_b = degrees[complement[0]], degrees[complement[1]]
     p, q = b + e_a, b + e_b
@@ -420,15 +415,10 @@ def normal_obstruction(splitting: SplittingType, b: int) -> NormalObstructionRep
     pairing = c + p + q
     self_p, self_q = c + 2 * p, c + 2 * q
 
-    if h0_p == 0 and self_q != 0:
-        branch, excluded = "vanishing-section", True
-    elif h0_q == 0 and self_p != 0:
-        branch, excluded = "vanishing-section", True
+    if (h0_p == 0 and self_q != 0) or (h0_q == 0 and self_p != 0):
+        branch = "vanishing-section"
     elif h0_p > 0 and h0_q > 0 and pairing >= 1:
-        branch, excluded = "pairing", True
+        branch = "pairing"
     else:
-        branch, excluded = "none", False
-    detail = NormalObstructionDetail(
-        index_set, p, q, c, h0_p, h0_q, pairing, self_p, self_q, branch
-    )
-    return NormalObstructionReport(applicable=True, excluded=excluded, detail=detail)
+        branch = "none"
+    return NormalObstructionDetail(index_set, p, q, c, h0_p, h0_q, pairing, self_p, self_q, branch)

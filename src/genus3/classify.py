@@ -243,16 +243,15 @@ class Corank1EmptyRule:
     name = "corank1-empty"
 
     def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
-        report = chowcurve.corank1_emptiness(splitting, b)
-        if report.excluded:
-            degree = splitting[report.witness]
-            return RuleResult(
-                self.name,
-                f"h^0 of the restricted system vanishes after removing index "
-                f"{report.witness} (degree {degree})",
-                "(3.23.1)",
-            )
-        return None
+        witness = chowcurve.corank1_emptiness(splitting, b)
+        if witness is None:
+            return None
+        return RuleResult(
+            self.name,
+            f"h^0 of the restricted system vanishes after removing index "
+            f"{witness} (degree {splitting[witness]})",
+            "(3.23.1)",
+        )
 
 
 class NormalObstructionRule:
@@ -263,10 +262,9 @@ class NormalObstructionRule:
     def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
         if len(splitting) != 4:
             return None
-        report = chowcurve.normal_obstruction(splitting, b)
-        if not (report.applicable and report.excluded):
+        detail = chowcurve.normal_obstruction(splitting, b)
+        if detail is None or detail.branch == "none":
             return None
-        detail = report.detail
         if detail.branch == "pairing":
             text = f"sections share a zero: pairing c + p + q = {detail.pairing} >= 1"
         else:

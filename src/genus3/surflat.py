@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
+from .chowcurve import require_ints
+
 
 class RuledModel(NamedTuple):
     """P^1-bundle over a curve of genus ``base_genus`` with c1(F) = e."""
@@ -26,7 +28,8 @@ class WeightSequence(NamedTuple("WeightSequence", [("weights", tuple[int, ...])]
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, weights: Sequence[int]) -> WeightSequence:
-        weights = tuple(int(m) for m in weights)
+        weights = tuple(weights)
+        require_ints("weights", weights)
         if any(m < 1 for m in weights):
             raise ValueError(f"weights must be >= 1, got {weights}")
         return super().__new__(cls, weights)
@@ -41,21 +44,6 @@ class WeightSequence(NamedTuple("WeightSequence", [("weights", tuple[int, ...])]
     @property
     def square_sum(self) -> int:
         return sum(m * m for m in self.weights)
-
-
-class PairingData(NamedTuple("PairingData", [("KK", int), ("KA", int), ("AA", int)])):
-    """Intersection numbers K^2, K.A, A^2 of an abstract polarized surface."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, KK: int, KA: int, AA: int) -> PairingData:
-        sectional_genus_surface(KA, AA)  # raises on the parity violation
-        return super().__new__(cls, KK, KA, AA)
-
-    @property
-    def genus(self) -> int:
-        return sectional_genus_surface(self.KA, self.AA)
 
 
 _Vector = tuple[int, ...]
@@ -81,12 +69,14 @@ class SurfaceLattice(NamedTuple("SurfaceLattice", _LATTICE_FIELDS)):
             raise ValueError("Gram matrix must be symmetric")
         if len(K) != n:
             raise ValueError("canonical vector length must match the basis")
-        if A is not None and len(A) != n:
-            raise ValueError("polarization vector length must match the basis")
+        if A is not None:
+            if len(A) != n:
+                raise ValueError("polarization vector length must match the basis")
+            require_ints("polarization entries", A)
         return super().__new__(cls, labels, gram, K, A)
 
     def with_polarization(self, A: Sequence[int]) -> SurfaceLattice:
-        return SurfaceLattice(self.labels, self.gram, self.K, tuple(int(a) for a in A))
+        return SurfaceLattice(self.labels, self.gram, self.K, tuple(A))
 
 
 def pair(lattice: SurfaceLattice, D1: Sequence[int], D2: Sequence[int]) -> int:
@@ -172,33 +162,6 @@ def minimalization_invariants(
         KK=KK_min - len(weights),
         genus_drop=drop,
     )
-
-
-class ScrollCheck(NamedTuple):
-    passed: bool
-    failures: tuple[str, ...]
-
-
-def scroll_constraints_check(
-    AA: int, Ln: int, c2: int, rank: int, weights: WeightSequence
-) -> ScrollCheck:
-    """Constraints on (S, A) carrying an ample bundle with det = A.
-
-    A^2 = L^n + c2(E) >= 2, and every rational curve has A-degree at least
-    rank(E) >= 2; the contracted (-1)-curves are rational of A-degree m,
-    so every weight must reach the rank.
-    """
-    if rank < 2:
-        raise ValueError(f"rank must be >= 2, got {rank}")
-    failures = []
-    if AA != Ln + c2:
-        failures.append(f"A^2 = {AA} differs from L^n + c2 = {Ln + c2}")
-    if AA < 2:
-        failures.append(f"A^2 = {AA} < 2")
-    for m in weights.weights:
-        if m < rank:
-            failures.append(f"weight {m} below rank {rank}")
-    return ScrollCheck(passed=not failures, failures=tuple(failures))
 
 
 class DegTRow(NamedTuple):

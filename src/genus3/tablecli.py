@@ -217,8 +217,13 @@ class VerificationReport(NamedTuple):
 
 
 def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
-    for row in rows:
-        check = surflat.verify_row_2_3(row.params)
+    for index, row in enumerate(rows):
+        try:
+            check = surflat.verify_row_2_3(row.params)
+        except ValueError as exc:  # a loaded row fails here only on an odd K.A + A^2
+            names = ("A2",) + surflat.FAMILY_FIELDS.get(row.params.get("family"), ())
+            given = ", ".join(f"{n!r} = {row.params[n]}" for n in names if n in row.params)
+            raise FixtureError(f"row {index}: {row.key}: {exc}; the row gives {given}") from exc
         flagged = check.status == "discrepancy"
         yield Verdict(
             key=row.key,

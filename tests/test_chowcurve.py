@@ -19,6 +19,7 @@ from genus3.chowcurve import (
     truncation_positivity,
     veronese_invariants,
 )
+from genus3.surflat import WeightSequence, make_plane
 from genus3.tablecli import naive_product, naive_reduce, naive_top_degree
 
 H = DivisorClass(1, 0)
@@ -59,6 +60,30 @@ class TestTypes:
             SplittingType(degrees)
         with pytest.raises(ValueError, match=f"got {bad}$"):
             ProjBundleModel.split(degrees)
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: BaseCurve(0.5), "0.5"),
+            (lambda: BaseCurve(True), "True"),
+            (lambda: BaseCurve("1"), "'1'"),
+            (lambda: ProjBundleModel(BaseCurve(0), 3.5, True), "3.5"),
+            (lambda: ProjBundleModel(BaseCurve(0), True, 2), "True"),
+            (lambda: ProjBundleModel(BaseCurve(0), 3, True), "True"),
+            (lambda: ProjBundleModel(BaseCurve(0), 3, 2.0, SplittingType((0, 1, 1))), "2.0"),
+            (lambda: WeightSequence((2.7, True, "3")), "2.7"),
+            (lambda: WeightSequence((2, True)), "True"),
+            (lambda: make_plane().with_polarization(("4",)), "'4'"),
+        ],
+        ids=[
+            "genus-float", "genus-bool", "genus-str", "rank-float", "rank-bool",
+            "c1-bool", "c1-float", "weights-mixed", "weights-bool", "polarization-str",
+        ],
+    )
+    def test_integer_fields_must_be_ints(self, build, bad):
+        # the splitting degrees' rule for every integer field of a record
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            build()
 
     def test_bundle_rank_bound(self):
         with pytest.raises(ValueError):
@@ -345,39 +370,35 @@ class TestBaseLocus:
 
 class TestCorank1:
     def test_excluded_with_witness(self):
-        report = corank1_emptiness(SplittingType((1, 1, 1, 4)), -3)
-        assert report.excluded and report.witness == 3
+        assert corank1_emptiness(SplittingType((1, 1, 1, 4)), -3) == 3
 
     def test_excluded_degree12(self):
-        assert corank1_emptiness(SplittingType((1, 1, 1, 5)), -4).excluded
+        assert corank1_emptiness(SplittingType((1, 1, 1, 5)), -4) is not None
 
     def test_not_excluded(self):
-        report = corank1_emptiness(SplittingType((1, 2, 2, 2)), -3)
-        assert not report.excluded and report.witness is None
+        assert corank1_emptiness(SplittingType((1, 2, 2, 2)), -3) is None
 
 
 class TestNormalObstruction:
     def test_pairing_branch(self):
-        report = normal_obstruction(SplittingType((1, 1, 2, 3)), -3)
-        assert report.applicable and report.excluded
-        assert report.detail.branch == "pairing"
-        assert report.detail.pairing == 1
+        detail = normal_obstruction(SplittingType((1, 1, 2, 3)), -3)
+        assert detail.branch == "pairing"
+        assert detail.pairing == 1
 
     def test_not_excluded_when_pairing_vanishes(self):
-        report = normal_obstruction(SplittingType((1, 1, 3, 3)), -4)
-        assert report.applicable and not report.excluded
-        assert report.detail.pairing == 0
+        detail = normal_obstruction(SplittingType((1, 1, 3, 3)), -4)
+        assert detail.branch == "none"
+        assert detail.pairing == 0
 
     def test_vanishing_section_branch(self):
-        report = normal_obstruction(SplittingType((1, 1, 2, 4)), -4)
-        assert report.applicable and report.excluded
-        assert report.detail.branch == "vanishing-section"
-        assert report.detail.h0_p == 0 and report.detail.self_q == 2
+        detail = normal_obstruction(SplittingType((1, 1, 2, 4)), -4)
+        assert detail.branch == "vanishing-section"
+        assert detail.h0_p == 0 and detail.self_q == 2
 
     def test_inapplicable_when_base_locus_is_not_a_surface(self):
-        assert not normal_obstruction(SplittingType((1, 1, 1, 4)), -3).applicable
-        assert not normal_obstruction(SplittingType((1, 2, 2, 2)), -3).applicable
-        assert not normal_obstruction(SplittingType((2, 2, 2, 2)), -4).applicable
+        assert normal_obstruction(SplittingType((1, 1, 1, 4)), -3) is None
+        assert normal_obstruction(SplittingType((1, 2, 2, 2)), -3) is None
+        assert normal_obstruction(SplittingType((2, 2, 2, 2)), -4) is None
 
     def test_rank_must_be_four(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import pytest
 
 from genus3 import tablecli
 from genus3.chowcurve import BaseCurve, DivisorClass, ProjBundleModel, SplittingType
-from genus3.surflat import PairingData, WeightSequence, make_plane
+from genus3.surflat import WeightSequence, make_plane
 
 DATACLASS_SCAN = """
 import genus3.tablecli
@@ -45,8 +45,14 @@ def test_only_the_self_test_report_is_a_dataclass():
 VALIDATING = {
     "BaseCurve": (BaseCurve(1), "genus", -1),
     "WeightSequence": (WeightSequence((2, 1)), "weights", (2, 0)),
-    "PairingData": (PairingData(KK=1, KA=3, AA=1), "AA", 2),
     "SurfaceLattice": (make_plane(), "gram", ((1, 2),)),
+    # integer fields take exact ints only: no silent int() of floats, bools or strings
+    "BaseCurve-float": (BaseCurve(1), "genus", 0.5),
+    "BaseCurve-bool": (BaseCurve(1), "genus", True),
+    "BaseCurve-str": (BaseCurve(1), "genus", "1"),
+    "WeightSequence-mixed": (WeightSequence((2, 1)), "weights", (2.7, True, "3")),
+    "WeightSequence-bool": (WeightSequence((2, 1)), "weights", (2, True)),
+    "SurfaceLattice-A": (make_plane().with_polarization((4,)), "A", (4.0,)),
 }
 
 
@@ -70,7 +76,6 @@ def test_make_and_replace_validate(name):
         ProjBundleModel.split((0, 1, 1)),
         ProjBundleModel(BaseCurve(2), 3, -1),
         WeightSequence((2, 1)),
-        PairingData(KK=1, KA=3, AA=1),
         make_plane().with_polarization((4,)),
     ],
     ids=lambda record: type(record).__name__,

@@ -3,7 +3,6 @@ import pytest
 from genus3.surflat import (
     FAMILY_FIELDS,
     DegTRow,
-    PairingData,
     RuledModel,
     SurfaceLattice,
     WeightSequence,
@@ -13,7 +12,6 @@ from genus3.surflat import (
     make_ruled,
     minimalization_invariants,
     pair,
-    scroll_constraints_check,
     sectional_genus_surface,
     verify_row_2_3,
 )
@@ -83,9 +81,11 @@ class TestSectionalGenus:
             sectional_genus_surface(1, 2)
 
     def test_pairing_data_parity(self):
+        # the pairing data (K.A, A^2) of a polarized surface: odd K.A + A^2
+        # is refused with the exact message, even data gives the genus
         with pytest.raises(ValueError, match=r"^KA \+ AA = 3 must be even$"):
-            PairingData(KK=1, KA=1, AA=2)
-        assert PairingData(KK=1, KA=2, AA=2).genus == 3
+            sectional_genus_surface(1, 2)
+        assert sectional_genus_surface(2, 2) == 3
 
 
 class TestBlowUp:
@@ -147,26 +147,6 @@ class TestMinimalization:
     def test_nine_weight_two_contractions(self):
         result = minimalization_invariants(12, 40, 8, WeightSequence((2,) * 9))
         assert (result.g, result.AA, result.KK) == (3, 4, -1)
-
-
-class TestScrollConstraints:
-    def test_minimal_general_type(self):
-        assert scroll_constraints_check(2, 1, 1, 2, WeightSequence(())).passed
-
-    def test_small_selfintersection_fails(self):
-        check = scroll_constraints_check(1, 0, 1, 2, WeightSequence(()))
-        assert not check.passed and any("A^2" in reason for reason in check.failures)
-
-    def test_rank2_scroll_with_degree3(self):
-        assert scroll_constraints_check(6, 3, 3, 2, WeightSequence(())).passed
-
-    def test_weight_below_rank_fails(self):
-        check = scroll_constraints_check(4, 2, 2, 3, WeightSequence((2,)))
-        assert not check.passed and any("weight" in reason for reason in check.failures)
-
-    def test_rank_precondition(self):
-        with pytest.raises(ValueError):
-            scroll_constraints_check(2, 1, 1, 1, WeightSequence(()))
 
 
 class TestDegT:

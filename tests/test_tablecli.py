@@ -128,6 +128,8 @@ class TestLoadFixture:
             ("3.25", 0, "d", 13),
             ("3.25", 0, "d", 0),
             ("3.25", 0, "splitting", [0, 0, 0, 0]),  # sums to 0, not e = 1 - 4
+            # K.A + A^2 = 5 is odd, so the II-1 row admits no sectional genus
+            ("2.3", 1, "KA", 3),
         ],
     )
     def test_malformed_field_names_row_and_field(
