@@ -91,6 +91,8 @@ class ProjBundleModel:
     __slots__ = ("base", "rank", "c1", "splitting")
 
     def __init__(self, base: BaseCurve, rank: int, c1: int, splitting: SplittingType | None = None):
+        if not isinstance(base, BaseCurve):
+            raise ValueError(f"base must be a BaseCurve, got {base!r}")
         require_ints("rank and c1", (rank, c1))
         if rank < 2:
             raise ValueError(f"rank must be at least 2, got {rank}")

@@ -148,7 +148,7 @@ class NoDoubleMinusOneRule:
     name = "no-double-minus-one"
 
     def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
-        if d >= 4 and list(splitting).count(-1) >= 2:
+        if d >= 4 and splitting.count(-1) >= 2:
             return RuleResult(self.name, "-1 appears twice", "(3.11)")
         return None
 
@@ -355,30 +355,32 @@ def _ascending_sums(
     2 * hi <= pair_max: then only the top can break the pair bound, and
     counting the top pair's room as min(pair_max, hi + top_hi) enforces it.
 
-    The walk keeps an explicit stack of positions and their value ranges.
-    Each range starts where the later entries can still hold what is
-    left.  Once the entries are at v, only the last (excess over v)
-    positions can rise above v, so the positions before them are set to
-    v in one step instead of one stack level each.  The top pair is
-    filled in a closed loop: with R left to place it is (x, R - x).
+    The walk keeps an explicit stack of frames, each a plain
+    (position, next value, last value) tuple for a range that still has
+    values to try.  Taking a value pushes its range's frame only if a
+    later value is left, so a range's last value is taken with its frame
+    already popped, and a range of one value pushes nothing.  Each range
+    starts where the later entries can still hold what is left.  Once
+    the entries are at v, only the last (excess over v) positions can
+    rise above v, so the positions before them are set to v in one step
+    instead of one stack level each; the walk then descends by setting
+    the position, value and last value in place.  The top pair is filled
+    in a closed loop: with R left to place it is (x, R - x).
     """
     m = length - 1  # index of the top entry
     pair_room = min(pair_max, hi + top_hi)
     prefix = [0] * (m - 1)  # entries 0 .. m-2
     left = [0] * (m - 1)  # left[p]: sum still to place from position p on
     left[0] = total
-    low = max(lo, total - (m - 2) * hi - pair_room)
-    positions = [0]
-    ranges = [iter(range(low, min(first_hi, hi, total // length) + 1))]
     out = []
+    frames = []
+    i, v, up = 0, max(lo, total - (m - 2) * hi - pair_room), min(first_hi, hi, total // length)
+    if v > up:
+        return out
     # bounds are clamped with comparisons: max()/min() calls cost a third of this loop
-    while ranges:
-        v = next(ranges[-1], None)
-        if v is None:
-            ranges.pop()
-            positions.pop()
-            continue
-        i = positions[-1]
+    while True:
+        if v < up:
+            frames.append((i, v + 1, up))
         rest = left[i] - v
         # later entries below the top equal v up to position j
         if v == hi:
@@ -390,28 +392,31 @@ def _ascending_sums(
         if j < m - 2:
             prefix[i : j + 1] = [v] * (j + 1 - i)
             rest -= (j - i) * v
-            left[j + 1] = rest
-            low = rest - (m - 3 - j) * hi - pair_room
-            if low < v:
-                low = v
-            up = rest // (m - j)
+            i = j + 1
+            left[i] = rest
+            low = rest - (m - 2 - i) * hi - pair_room
+            if low > v:
+                v = low
+            up = rest // (m + 1 - i)
             if up > hi:
                 up = hi
-            positions.append(j + 1)
-            ranges.append(iter(range(low, up + 1)))
-            continue
-        prefix[i:] = [v] * (m - 1 - i)
-        rest -= (m - 2 - i) * v
-        head = tuple(prefix)
-        x, up = rest - top_hi, rest // 2
-        if x < v:
-            x = v
-        if up > hi:
-            up = hi
-        while x <= up:
-            out.append(head + (x, rest - x))
-            x += 1
-    return out
+            if v <= up:
+                continue
+        else:
+            prefix[i:] = [v] * (m - 1 - i)
+            rest -= (m - 2 - i) * v
+            head = tuple(prefix)
+            x, up = rest - top_hi, rest // 2
+            if x < v:
+                x = v
+            if up > hi:
+                up = hi
+            while x <= up:
+                out.append(head + (x, rest - x))
+                x += 1
+        if not frames:
+            return out
+        i, v, up = frames.pop()
 
 
 def _generate_splittings(d: int, e: int, n: int) -> list[tuple[int, ...]]:

@@ -69,6 +69,8 @@ class SurfaceLattice(NamedTuple("SurfaceLattice", _LATTICE_FIELDS)):
             raise ValueError("Gram matrix must be symmetric")
         if len(K) != n:
             raise ValueError("canonical vector length must match the basis")
+        require_ints("Gram entries", [entry for row in gram for entry in row])
+        require_ints("canonical entries", K)
         if A is not None:
             if len(A) != n:
                 raise ValueError("polarization vector length must match the basis")

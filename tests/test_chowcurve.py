@@ -85,6 +85,12 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"got {bad}$"):
             build()
 
+    @pytest.mark.parametrize("base", [0, None], ids=["int", "none"])
+    def test_bundle_base_must_be_a_curve(self, base):
+        # an int or None base would otherwise fail later, at its first .genus
+        with pytest.raises(ValueError, match=f"base must be a BaseCurve, got {base!r}$"):
+            ProjBundleModel(base, 4, 4)
+
     def test_bundle_rank_bound(self):
         with pytest.raises(ValueError):
             ProjBundleModel(BaseCurve(0), 1, 0)

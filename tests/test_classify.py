@@ -258,6 +258,62 @@ def within_generator_bounds(t, d):
     return t[-1] <= e - n
 
 
+def reference_ascending_sums(
+    length: int, total: int, lo: int, first_hi: int, hi: int, top_hi: int, pair_max: int
+) -> list[tuple[int, ...]]:
+    """The generator's earlier walk, one range iterator per stack level: the reference."""
+    m = length - 1  # index of the top entry
+    pair_room = min(pair_max, hi + top_hi)
+    prefix = [0] * (m - 1)  # entries 0 .. m-2
+    left = [0] * (m - 1)  # left[p]: sum still to place from position p on
+    left[0] = total
+    low = max(lo, total - (m - 2) * hi - pair_room)
+    positions = [0]
+    ranges = [iter(range(low, min(first_hi, hi, total // length) + 1))]
+    out = []
+    # bounds are clamped with comparisons: max()/min() calls cost a third of this loop
+    while ranges:
+        v = next(ranges[-1], None)
+        if v is None:
+            ranges.pop()
+            positions.pop()
+            continue
+        i = positions[-1]
+        rest = left[i] - v
+        # later entries below the top equal v up to position j
+        if v == hi:
+            j = m - 1
+        else:
+            j = m - (rest - (m - i) * v)
+            if j < i:
+                j = i
+        if j < m - 2:
+            prefix[i : j + 1] = [v] * (j + 1 - i)
+            rest -= (j - i) * v
+            left[j + 1] = rest
+            low = rest - (m - 3 - j) * hi - pair_room
+            if low < v:
+                low = v
+            up = rest // (m - j)
+            if up > hi:
+                up = hi
+            positions.append(j + 1)
+            ranges.append(iter(range(low, up + 1)))
+            continue
+        prefix[i:] = [v] * (m - 1 - i)
+        rest -= (m - 2 - i) * v
+        head = tuple(prefix)
+        x, up = rest - top_hi, rest // 2
+        if x < v:
+            x = v
+        if up > hi:
+            up = hi
+        while x <= up:
+            out.append(head + (x, rest - x))
+            x += 1
+    return out
+
+
 class TestGenerator:
     def test_generated_tuples_are_ascending_unique_and_sorted(self):
         for d in range(1, 13):
@@ -267,6 +323,36 @@ class TestGenerator:
                 assert all(len(t) == n + 1 and sum(t) == d - 4 for t in tuples)
                 assert all(list(t) == sorted(t) for t in tuples)
                 assert all(within_generator_bounds(t, d) for t in tuples)
+
+    def test_matches_reference_walk_exactly(self, monkeypatch):
+        # the sweep's large regions sit at n = 11..14, with e_0 down to -23
+        sweep_total = 0
+        for d in range(1, 13):
+            for n in range(3, 23):
+                tuples = classify._generate_splittings(d, d - 4, n)
+                with monkeypatch.context() as patch:
+                    patch.setattr(classify, "_ascending_sums", reference_ascending_sums)
+                    assert tuples == classify._generate_splittings(d, d - 4, n), (d, n)
+                if n <= 14:
+                    sweep_total += len(tuples)
+        assert sweep_total == 24203
+
+    def test_matches_reference_walk_on_random_bounds(self):
+        # bounds beyond the two regimes, where a descent can meet an empty range
+        rng = random.Random(0)
+        for _ in range(2000):
+            length, hi = rng.randint(3, 9), rng.randint(-5, 6)
+            lo = rng.randint(-8, hi)
+            args = (
+                length,
+                rng.randint(length * lo - 2, length * hi + 5),  # total
+                lo,
+                rng.randint(lo - 1, hi + 1),  # first_hi
+                hi,
+                rng.randint(hi - 2, hi + 8),  # top_hi
+                2 * hi + rng.randint(0, 5),  # pair_max, at least 2 * hi
+            )
+            assert classify._ascending_sums(*args) == reference_ascending_sums(*args), args
 
     def test_every_omitted_tuple_fails_truncation(self):
         # the docstring's claim: what the bounds leave out, truncation excludes

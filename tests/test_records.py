@@ -53,6 +53,8 @@ VALIDATING = {
     "WeightSequence-mixed": (WeightSequence((2, 1)), "weights", (2.7, True, "3")),
     "WeightSequence-bool": (WeightSequence((2, 1)), "weights", (2, True)),
     "SurfaceLattice-A": (make_plane().with_polarization((4,)), "A", (4.0,)),
+    "SurfaceLattice-gram-float": (make_plane(), "gram", ((1.5,),)),
+    "SurfaceLattice-K-bool": (make_plane(), "K", (True,)),
 }
 
 
