@@ -295,15 +295,18 @@ def default_rules() -> list:
     return [rule() for rule in RULES]
 
 
-DEFAULT_N_CAP = 5  # largest fibre dimension occurring in the tables
+# the first fibre dimension past every cited cap in ``N_CAPS``
+DEFAULT_N_CAP = max(cap.n_max for cap in N_CAPS) + 1
 
 
 def default_n_range(d: int) -> range:
     """Default fibre-dimension range for degree d.
 
-    For d >= 9 the defect s = d + n(8 - d) goes negative past d/(d - 8);
-    below that a configured cap applies, since the per-family dimension
-    bounds are cited data rather than re-proved arithmetic.
+    For d >= 9 the defect s = d + n(8 - d) goes negative past d/(d - 8).
+    Below that the range ends at ``DEFAULT_N_CAP``, the first n at which
+    every pattern cap in ``N_CAPS`` has fired; the admitted set does not
+    grow past it (pinned by the tests up to n = 18, not re-proved here,
+    since the caps are cited data).
     """
     if d >= 9:
         return range(3, d // (d - 8) + 1)

@@ -8,7 +8,8 @@ discrepancies are whitelisted in the fixture itself (flag
 ``expect_discrepancy``), so the exception ledger is data rather than code.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error (or an
-internal error, reported in one line without a traceback).
+internal error, reported in one line without a traceback), 141 when the reader
+of standard output closes it early (nothing is printed on standard error).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from dataclasses import dataclass, field, fields
 from functools import partial
 from importlib import resources
 from operator import attrgetter
@@ -437,8 +438,7 @@ class IdentityCounterexample(NamedTuple):
     rhs: int
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     grid_points: int
     grid_mismatches: int
     max_deviation: int
@@ -446,7 +446,7 @@ class SelfTestReport:
     veronese_mismatches: int
     corrected_identity_points: int
     corrected_identity_failures: int
-    variant_identity_counterexamples: tuple[IdentityCounterexample, ...] = field(repr=False)
+    variant_identity_counterexamples: tuple[IdentityCounterexample, ...]
 
     @property
     def passed(self) -> bool:
@@ -483,8 +483,8 @@ class SelfTestReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        # a shallow copy in field order; JSON wants each counterexample as an object
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        # JSON wants each counterexample as an object
+        payload = self._asdict()
         key = "variant_identity_counterexamples"
         payload[key] = [c._asdict() for c in payload[key]]
         return json.dumps(payload | {"passed": self.passed}, indent=2)
@@ -744,7 +744,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
+        return status
+    except BrokenPipeError:
+        # the reader stopped early: say nothing, and point stdout at devnull so
+        # that the interpreter's final flush of the unwritten rest stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a reader that went away
     except (FixtureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

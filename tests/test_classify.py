@@ -231,6 +231,14 @@ class TestEnumeration:
             assert quadric_params(0, n_max).s(d) >= 0
             assert quadric_params(0, n_max + 1).s(d) < 0
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_admitted_set_is_stable_as_the_n_range_grows(self, d):
+        # the default range ends where the admitted set stops changing
+        default = admitted_splittings(enumerate_quadric_splittings(d))
+        for n_max in (8, 10, 14, 18):
+            wider = enumerate_quadric_splittings(d, n_range=range(3, n_max + 1))
+            assert admitted_splittings(wider) == default, n_max
+
 
 def reference_enumeration(d, n_range, rules):
     """Every rule on every candidate, first failure kept: (n, splitting, trace)."""

@@ -29,16 +29,22 @@ print(*sorted(found))
 """
 
 
-def test_only_the_self_test_report_is_a_dataclass():
-    # Defining a dataclass costs about a millisecond, which every CLI call pays
-    # on import.  SelfTestReport stays one because callers use dataclasses.replace.
+def test_no_record_is_a_dataclass():
+    # Defining a dataclass costs about a millisecond, and importing dataclasses
+    # loads inspect, ast, dis and tokenize: every CLI call would pay for both.
     src = str(Path(tablecli.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", DATACLASS_SCAN],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["genus3.tablecli.SelfTestReport"]
+    assert result.stdout.split() == []
+
+
+# a passing self-test report, built by hand
+SELFTEST = tablecli.SelfTestReport(
+    2535, 0, 0, 507, 0, 132, 0, (tablecli.IdentityCounterexample(3, 8, 0, 40, 24),)
+)
 
 
 # a valid record of each validating named tuple, and one field value it rejects
@@ -79,6 +85,7 @@ def test_make_and_replace_validate(name):
         ProjBundleModel(BaseCurve(2), 3, -1),
         WeightSequence((2, 1)),
         make_plane().with_polarization((4,)),
+        SELFTEST,
     ],
     ids=lambda record: type(record).__name__,
 )
@@ -89,7 +96,13 @@ def test_copy_and_pickle_rebuild_the_same_record(record):
 
 def test_records_are_immutable():
     bundle = ProjBundleModel.split((0, 1, 1))
-    for record, field in ((BaseCurve(1), "genus"), (DivisorClass(1, 0), "h"), (bundle, "rank")):
+    records = (
+        (BaseCurve(1), "genus"),
+        (DivisorClass(1, 0), "h"),
+        (bundle, "rank"),
+        (SELFTEST, "grid_mismatches"),
+    )
+    for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, 5)
         with pytest.raises(AttributeError):
@@ -123,6 +136,10 @@ def test_json_reports_write_nested_records_as_objects():
     assert selftest["variant_identity_counterexamples"][0] == {
         "n": 3, "d": 8, "g_C": 0, "lhs": 40, "rhs": 24,
     }
+    assert list(selftest) == [*tablecli.SelfTestReport._fields, "passed"]
+    # a copy perturbed with _replace, as a benchmark check builds one, reports the failure
+    perturbed = json.loads(SELFTEST._replace(grid_mismatches=1).to_json())
+    assert (perturbed["grid_mismatches"], perturbed["passed"]) == (1, False)
     report = tablecli.verify("4.4", tablecli.load_fixture(tablecli.packaged_fixture_path("4.4")))
     verdict = json.loads(report.to_json())["verdicts"][0]
     assert list(verdict) == [

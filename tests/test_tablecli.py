@@ -471,3 +471,19 @@ def test_python_m_entry_point():
         assert result.returncode == 0
         assert result.stderr == ""
         assert json.loads(result.stdout) == {"d": 10, "g": 3, "s": 4}
+
+
+def test_closed_output_pipe_exits_quietly():
+    # a reader that stops early, as `| head -c 10` does, is no fault of genus3:
+    # nothing on stderr, and exit 141 (128 + SIGPIPE) rather than 1 or 2
+    src = str(Path(tablecli.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "genus3", "enumerate", "--d", "12", "--n-max", "14",
+               "--format", "json"]
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        assert proc.stdout.read(10) == b"[\n  {\n    "
+        proc.stdout.close()  # the output is about 2.3 MB, so the writer meets the closed pipe
+        _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (141, b"")
