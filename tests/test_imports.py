@@ -65,9 +65,10 @@ def test_cli_import_adds_only_genus3_modules():
     cli = modules_after("import genus3.tablecli")
     extra = sorted(name for name in cli - stdlib if name.partition(".")[0] != "genus3")
     assert extra == []
-    # named here as well, so that no transitive import can bring them back:
-    # dataclasses pulls in inspect, and inspect pulls in ast, dis and tokenize
-    assert {"dataclasses", "inspect"} & cli == set()
+    # named here as well, so that no transitive import can bring it back:
+    # dataclasses pulls in inspect, and inspect pulls in ast, dis and tokenize.
+    # (From Python 3.12 on, importlib.resources imports inspect by itself.)
+    assert "dataclasses" not in cli
 
 
 # public names no genus3 code or acceptance test reaches, kept on purpose: the
