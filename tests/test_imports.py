@@ -20,7 +20,6 @@ STDLIB_IMPORTS = (
     "argparse",
     "csv",
     "functools",
-    "importlib.resources",
     "io",
     "itertools",
     "json",
@@ -46,9 +45,9 @@ def top_level_imports():
     return names
 
 
-def modules_after(imports):
+def modules_after(imports, *flags):
     result = subprocess.run(
-        [sys.executable, "-c", LOADED.format(imports=imports)],
+        [sys.executable, *flags, "-c", LOADED.format(imports=imports)],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
     )
@@ -67,8 +66,14 @@ def test_cli_import_adds_only_genus3_modules():
     assert extra == []
     # named here as well, so that no transitive import can bring it back:
     # dataclasses pulls in inspect, and inspect pulls in ast, dis and tokenize.
-    # (From Python 3.12 on, importlib.resources imports inspect by itself.)
     assert "dataclasses" not in cli
+
+
+def test_cli_import_loads_neither_resources_nor_inspect():
+    # without site (-S), which on some installs loads importlib.resources for a
+    # .pth file: from Python 3.12 on, importlib.resources imports inspect itself
+    cli = modules_after("import genus3.tablecli", "-S")
+    assert {"importlib.resources", "inspect"} & cli == set()
 
 
 # public names no genus3 code or acceptance test reaches, kept on purpose: the

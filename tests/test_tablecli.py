@@ -327,6 +327,50 @@ class TestSelfTest:
         assert report.max_deviation == 1
         assert report.passed is False
 
+    def test_ring_broken_for_one_base_genus_is_caught(self, monkeypatch):
+        # the oracle's degree is shared across base genera; the ring's must not be
+        real = tablecli.multiply_classes
+
+        def off_by_one(bundle, factors):
+            element = real(bundle, factors)
+            if element.degree == bundle.rank and bundle.base.genus == 2:
+                return element._replace(hf=element.hf + 1)
+            return element
+
+        monkeypatch.setattr(tablecli, "multiply_classes", off_by_one)
+        report = oracle_selftest()
+        # every grid point with g(C) = 2: 5 ranks x 13 c1 x 13 twists
+        assert report.grid_mismatches == 845
+        assert report.max_deviation == 1
+        assert report.passed is False
+
+    def test_every_route_runs_its_pinned_number_of_times(self, monkeypatch):
+        # every grid point runs the ring route on its own bundle; only the
+        # oracle's degree product, a function of (rank, c1, b), is expanded
+        # once for all three base genera
+        calls = dict.fromkeys(
+            ("multiply_classes", "quadric_invariants", "veronese_invariants", "naive_top_degree"), 0
+        )
+
+        def counted(name):
+            real = getattr(tablecli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tablecli, name, counted(name))
+        assert oracle_selftest().passed
+        assert calls == {
+            "multiply_classes": 5070,
+            "quadric_invariants": 2535,
+            "veronese_invariants": 507,
+            "naive_top_degree": 3380,
+        }
+
     def test_variant_identity_counterexample(self):
         report = oracle_selftest()
         featured = report.variant_identity_counterexamples[0]
