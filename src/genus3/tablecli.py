@@ -116,7 +116,9 @@ def load_fixture(path, table: str | None = None) -> list[ClassificationRow]:
         raise FixtureError(f"fixture {path}: unknown table id {declared!r}")
     if table is not None and declared != table:
         raise FixtureError(f"fixture {path} declares table {declared!r}, not table {table!r}")
-    rows = document.get("rows", [])
+    if "rows" not in document:
+        raise FixtureError(f"fixture {path}: missing field 'rows'")
+    rows = document["rows"]
     if not isinstance(rows, list):
         raise FixtureError(f"fixture {path}: 'rows' must be an array")
     loaded = [_to_row(declared, i, raw) for i, raw in enumerate(rows)]
@@ -244,12 +246,14 @@ def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator
         table_rows = {split: row.paper_status for split, row in by_d.get(d, {}).items()}
         candidates = classify.enumerate_quadric_splittings(d, paper_rows=table_rows)
         admitted = {c.splitting: c for c in candidates if c.status == "admitted"}
+        excluded = None  # splitting -> trace, built at the first paper-only row
         for split, row in sorted(by_d.get(d, {}).items()):
             if split in admitted:
                 yield Verdict(key=row.key, verdict="verified")
             else:
-                excluded = {c.splitting: c for c in candidates if c.status == "excluded"}
-                trace = str(excluded[split].rule) if split in excluded else "not generated"
+                if excluded is None:
+                    excluded = {c.splitting: c.rule for c in candidates if c.rule is not None}
+                trace = str(excluded[split]) if split in excluded else "not generated"
                 yield Verdict(
                     key=row.key,
                     verdict="paper-only",
@@ -591,18 +595,40 @@ def oracle_selftest() -> SelfTestReport:
 # CLI
 
 
+def _grouped(
+    candidates: Sequence[classify.Candidate], render: Callable[[classify.Candidate], tuple]
+) -> Iterator[tuple[classify.Candidate, tuple]]:
+    """Pair each candidate with ``render`` of its group, rendered once per group.
+
+    A group is every candidate with the same d, n, rule, paper status and
+    beyond-paper flag: every field but the splitting's entries.  At an s < 0
+    fibre dimension one trace excludes every tuple, so one group holds them all.
+    """
+    memo: dict[tuple, tuple] = {}
+    for c in candidates:
+        key = (c.d, len(c.splitting), c.rule, c.paper_status, c.beyond_paper)
+        shared = memo.get(key)
+        if shared is None:
+            shared = memo[key] = render(c)
+        yield c, shared
+
+
+def _text_halves(c: classify.Candidate) -> tuple[str, str]:
+    if c.status == "admitted":
+        extra = c.paper_status or ("beyond-paper" if c.beyond_paper else "")
+        verdict = "admitted" + (f"  {extra}" if extra else "")
+    else:
+        verdict = f"excluded  {c.rule}"
+    return f"  n={c.n}  ", f"  s={c.s}  {verdict}"
+
+
 def _candidates_text(candidates: Sequence[classify.Candidate]) -> str:
     if not candidates:
         return "no candidates"
     head = candidates[0]
     lines = [f"d={head.d}  e={head.e}  b={head.b}"]
-    for c in candidates:
-        if c.status == "admitted":
-            extra = c.paper_status or ("beyond-paper" if c.beyond_paper else "")
-            detail = f"  {extra}" if extra else ""
-            lines.append(f"  n={c.n}  {c.splitting}  s={c.s}  admitted{detail}")
-        else:
-            lines.append(f"  n={c.n}  {c.splitting}  s={c.s}  excluded  {c.rule}")
+    grouped = _grouped(candidates, _text_halves)
+    lines += [f"{lead}{c.splitting}{rest}" for c, (lead, rest) in grouped]
     return "\n".join(lines)
 
 
@@ -621,15 +647,43 @@ def _candidate_payload(c: classify.Candidate) -> dict:
     }
 
 
+def _json_halves(c: classify.Candidate) -> tuple[str, str]:
+    """The group's array item, indented as a list element, cut at its splitting.
+
+    The cut is at the first ``"splitting": []``: json escapes a quote inside a
+    string, so that raw text cannot come from a string value.
+    """
+    payload = _candidate_payload(c)
+    payload["splitting"] = []
+    item = "  " + json.dumps(payload, indent=2).replace("\n", "\n  ")
+    lead, _, rest = item.partition('"splitting": []')
+    return lead + '"splitting": [\n      ', "\n    ]" + rest
+
+
+def _candidates_json(candidates: Sequence[classify.Candidate]) -> str:
+    """``json.dumps([_candidate_payload(c) ...], indent=2)``, rendered per group."""
+    if not candidates:
+        return "[]"
+    # json writes an int as str() does; a splitting always has at least 4 entries
+    items = (
+        lead + ",\n      ".join(map(str, c.splitting)) + rest
+        for c, (lead, rest) in _grouped(candidates, _json_halves)
+    )
+    return "[\n" + ",\n".join(items) + "\n]"
+
+
+def _csv_halves(c: classify.Candidate) -> tuple[tuple, tuple]:
+    rule = (c.rule.rule, c.rule.detail, c.rule.citation) if c.rule else ("", "", "")
+    return (c.d, c.n), (c.e, c.b, c.s, c.status, *rule, c.paper_status or "", c.beyond_paper)
+
+
 def _candidates_csv(candidates: Sequence[classify.Candidate]) -> str:
     header = ("d", "n", "splitting", "e", "b", "s", "status", "rule", "detail", "citation", "paper_status", "beyond_paper")
     return _csv(
         header,
         (
-            [c.d, c.n, " ".join(map(str, c.splitting)), c.e, c.b, c.s, c.status]
-            + ([c.rule.rule, c.rule.detail, c.rule.citation] if c.rule else ["", "", ""])
-            + [c.paper_status or "", c.beyond_paper]
-            for c in candidates
+            (*lead, " ".join(map(str, c.splitting)), *rest)
+            for c, (lead, rest) in _grouped(candidates, _csv_halves)
         ),
     )
 
@@ -683,7 +737,7 @@ def _cmd_enumerate(args) -> int:
     _emit(
         args.format,
         table=lambda: _candidates_text(candidates),
-        json=lambda: json.dumps([_candidate_payload(c) for c in candidates], indent=2),
+        json=lambda: _candidates_json(candidates),
         csv=lambda: _candidates_csv(candidates),
     )
     return 0

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from genus3 import tablecli
+from genus3 import classify, tablecli
 from genus3.tablecli import (
     FixtureError,
     load_fixture,
@@ -37,6 +39,23 @@ class TestLoadFixture:
         path = tmp_path / "empty.json"
         path.write_text('{"table": "5.7", "rows": []}')
         assert load_fixture(path) == []
+
+    def test_missing_rows_is_a_schema_error(self, tmp_path, capsys):
+        # not an empty table: read as one, it would print 49 UNEXPECTED verdicts
+        path = tmp_path / "no_rows.json"
+        path.write_text('{"table": "3.25"}')
+        with pytest.raises(FixtureError, match=r"missing field 'rows'"):
+            load_fixture(path)
+        assert main(["verify", "--table", "3.25", "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: fixture {path}: missing field 'rows'\n"
+
+    def test_explicit_empty_rows_verify_as_an_empty_table(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"table": "3.25", "rows": []}')
+        assert main(["verify", "--table", "3.25", "--fixture", str(path), "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["counts"] == {"beyond-paper": 49}
 
     def test_missing_field_names_row_and_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -222,6 +241,36 @@ class TestVerify:
         assert verdicts["d=12 (1, 1, 2, 4)"].verdict == "paper-only"
         assert "normal-obstruction" in verdicts["d=12 (1, 1, 2, 4)"].note
         assert report.exit_status == 1
+
+    def test_3_25_broken_rows_at_one_degree(self):
+        # three published rows at d = 12 that the enumerator rejects, each for its own reason
+        fakes = [
+            tablecli.ClassificationRow(
+                table="3.25",
+                key=f"d=12 {split}",
+                params={"d": 12, "splitting": list(split), "status": "x"},
+            )
+            for split in ((1, 1, 2, 4), (1, 1, 1, 5), (0, 0, 0, 8))
+        ]
+        report = verify("3.25", bundled_rows("3.25") + fakes)
+        assert report.counts == {"verified": 45, "beyond-paper": 4, "paper-only": 3}
+        rejected = [v for v in report.verdicts if v.verdict == "paper-only"]
+        assert all(v.unexpected for v in rejected)
+        prefix = "enumerator rejects a published row: "
+        assert [(v.key, v.note.removeprefix(prefix)) for v in rejected] == [
+            ("d=12 (0, 0, 0, 8)", "not generated"),
+            (
+                "d=12 (1, 1, 1, 5)",
+                "corank1-empty: h^0 of the restricted system vanishes after removing "
+                "index 3 (degree 5) [(3.23.1)]",
+            ),
+            (
+                "d=12 (1, 1, 2, 4)",
+                "normal-obstruction: one normal component has h^0 = 0 while the other "
+                "has self-intersection 2 != 0 [(3.23.2)]",
+            ),
+        ]
+        assert all(v.note.startswith(prefix) for v in rejected)
 
     def test_2_3_whitelisted_discrepancy(self):
         report = verify("2.3", bundled_rows("2.3"))
@@ -495,6 +544,139 @@ class TestCli:
         # the whole report; the JSON lists all 124 counterexamples in their order
         assert main(["oracle-selftest", "--format", fmt]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# stdout SHA-256 of `enumerate --d D --format F [--n-max N]`
+ENUMERATE_DIGESTS = [
+    (1, None, "table", "9ddd34ffe2d0a2f767010dcba72f66b0af3f509fb714df9a8266897ebcf1c2c2"),
+    (1, None, "json", "cbff49c9abe874d620d074c40302015d4e3d8d9de01eeac50b3b14280c0c811b"),
+    (1, None, "csv", "1dba9a3cc443ba99fcd6a0b589cd65a6afe5aecdd22efe71c0664a67c6ff1dfc"),
+    (2, None, "table", "aa6556bcff9dcf50202d06a2fdbdcc250ebe7955aac26b4a80d556f880770013"),
+    (2, None, "json", "35a7374647bbcb1d77ca007650ef13b75f25c3c64290a8a7d37d484364b93f95"),
+    (2, None, "csv", "69dd8b7c6cf4434a23bc847459fc6494522f431c3e368c824a80ea3208f3f30c"),
+    (3, None, "table", "3583e8d60db02ded53c713d1b760107b6caa4db2ca505ad4eceb89564c6f3a57"),
+    (3, None, "json", "ebee4acbad94546a77db3241a2f03d98d9816384ab517842a0364c6a8223d2c6"),
+    (3, None, "csv", "41048ee0af381f8bbceafd51a19b07baf6917670ee821b277f70a407b4eff440"),
+    (4, None, "table", "1d84b16266fb146c596102721b92385d1df9adef655af75932dad95822208299"),
+    (4, None, "json", "fd623f6d9647f7308c63c7bec895e0ce330229986dd09167f4098d2391dd9e26"),
+    (4, None, "csv", "4bac9003ac5aa4035c7433ac0cc85c3d89b1953eb49f3c2f55d46325c8dff3b5"),
+    (5, None, "table", "0f59b962172d49373dbed04b56e3cb2ddb3e685ebe207b5a0601f4606bc134ef"),
+    (5, None, "json", "b2dd2e7e4df2dc4cbd1cccb4e7d961574bdb5f45fadef630f7013033ac91d807"),
+    (5, None, "csv", "d8ba6f1ff2954ec64d37acc2a67fab8159960a179bb25fc16af748f27cc8e961"),
+    (6, None, "table", "f038d26a419c5bd2088f0c39728a81b2178d09a3bcb60c5845edfc9321e2aa79"),
+    (6, None, "json", "e8135bd9a073ab1341a691d25396e014d67be7a23e23379215369a6883f970a7"),
+    (6, None, "csv", "37caf7e35b53bb174947014c924d87c0b8a80f6222936d52abe6ec6466c9b7a1"),
+    (7, None, "table", "88d9af2201833c137e2319c29d78a158378c043d4f32b33caa8469056fda944c"),
+    (7, None, "json", "78eb791ee0c2488eb8b82d0a5a00690ab65bad1c1a3bd6e0a565d25dc88cdfa9"),
+    (7, None, "csv", "379230f5ced4a6e551edb264b04d7b18b811c6747bb93ea94633069f277fd18a"),
+    (8, None, "table", "8b228b28a39cabb13173c502ec18886e1395cc6dc92581b06b66807d6e8ef2e1"),
+    (8, None, "json", "0810e685da52439a8c34956de02f73fb58cb415ca81b56b55e78333349005fdf"),
+    (8, None, "csv", "c6f76ebceea276b15623e270c5a431d1fdf672d6c0be84da2f8695605d13bd42"),
+    (9, None, "table", "9ad8b15cde7c54981b21105436d08f264f94f2c54bfa5b9901f62e5a2e3d9da7"),
+    (9, None, "json", "ec049811b386307a7031e32ebeb5692c414d7249e4bc70c92ba912868e493fa1"),
+    (9, None, "csv", "da2aa5403b58b836d8f7e9c25bf5ebc1448cf7e7e3806583b3b899f6d8afafb6"),
+    (10, None, "table", "d5746411ea973bd8e05a45f910fd0a4cd87c958f4d6ed3994f22804e97ca61e0"),
+    (10, None, "json", "6e9db6567bba50a563af9ffce2dc18fede07a17841e1b3c39201b1e4bfe49c01"),
+    (10, None, "csv", "93a26422be068918c7889f34e97c176d6fbc7075b5609026c2929d288f723e48"),
+    (11, None, "table", "155caa2c87c98acc78bcd56218479d1132f308084c30ff59c8d1da8090a52ee0"),
+    (11, None, "json", "7a8ff6d50bd3ee8dfa5063a3372949492944f0854dd432b105392dfd75399ab8"),
+    (11, None, "csv", "312f74183606a45eb4b699b6b9b35ec2d9370f02e01f1a57e76fb371f772a6f8"),
+    (12, None, "table", "37ac55ef7a48a6128c2322d92642dd1078ced12374678981d56b03a1af8f818c"),
+    (12, None, "json", "0094ae1ad94cd0251f69ac251a042d244ea356a29d459ac57328afe143436232"),
+    (12, None, "csv", "126fc93b35218d6121463aaca99f4cfdd92f46793e466c1ad0dd72c2e1993fc2"),
+    (9, 14, "table", "a68f3ecb569b5d01fa6d1e37a14a84220a4ce52e183f81d3eb01e571e7a27853"),
+    (9, 14, "json", "213ab475ad4b667447136d10058460c90b77e9533ff35701032c1d6c407a2f9e"),
+    (9, 14, "csv", "bde54f536c1135a5d77f991aec090322e9477e81ddd1bc62e46168401dc35a3a"),
+    (11, 14, "table", "0cf928d70fa0be217ea22bad25eaa544233834512dc0fb9b2fb38b31d4385d5c"),
+    (11, 14, "json", "4d76f059c9f383d8d6bd415ac03e0c20cf920ce2c2c16ccb482d75af54afba71"),
+    (11, 14, "csv", "e1b30e124a9861417e97df2bbe03107128eff9a8b0a0992b5b37c67ccce9904c"),
+    (12, 14, "table", "d658d9daaffaad275a2b0fad804e8e2d7637761543ffdd29ff9706abad26ac0c"),
+    (12, 14, "json", "c97bb1f7574703c4a07ae30486559e7e4ef34d8c04dfd2e88f22c4363395d0f9"),
+    (12, 14, "csv", "68436ad1ad79d0070534711616093a6554e3266955899e457b681e0fcf463d70"),
+]
+
+
+@pytest.mark.parametrize("d, n_max, fmt, digest", ENUMERATE_DIGESTS)
+def test_enumerate_output_is_pinned(capsys, d, n_max, fmt, digest):
+    argv = ["enumerate", "--d", str(d), "--format", fmt]
+    assert main(argv + ([] if n_max is None else ["--n-max", str(n_max)])) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def reference_text(candidates):
+    """The table listing as rendered one candidate at a time."""
+    if not candidates:
+        return "no candidates"
+    head = candidates[0]
+    lines = [f"d={head.d}  e={head.e}  b={head.b}"]
+    for c in candidates:
+        if c.status == "admitted":
+            extra = c.paper_status or ("beyond-paper" if c.beyond_paper else "")
+            detail = f"  {extra}" if extra else ""
+            lines.append(f"  n={c.n}  {c.splitting}  s={c.s}  admitted{detail}")
+        else:
+            lines.append(f"  n={c.n}  {c.splitting}  s={c.s}  excluded  {c.rule}")
+    return "\n".join(lines)
+
+
+def reference_json(candidates):
+    return json.dumps([tablecli._candidate_payload(c) for c in candidates], indent=2)
+
+
+def reference_csv(candidates):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ("d", "n", "splitting", "e", "b", "s", "status", "rule", "detail", "citation",
+         "paper_status", "beyond_paper")
+    )
+    for c in candidates:
+        writer.writerow(
+            [c.d, c.n, " ".join(map(str, c.splitting)), c.e, c.b, c.s, c.status]
+            + ([c.rule.rule, c.rule.detail, c.rule.citation] if c.rule else ["", "", ""])
+            + [c.paper_status or "", c.beyond_paper]
+        )
+    return buffer.getvalue()
+
+
+def mixed_candidates():
+    """Three degrees with paper rows, d = 1 again without, and hand-made JSON-like traces.
+
+    Admitted candidates at d = 1 differ only in the beyond-paper flag between
+    the two d = 1 listings, so a group key without the flag would show.
+    """
+    paper = {}
+    for row in bundled_rows("3.25"):
+        paper.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row.paper_status
+    listed = []
+    for d, n_range in ((1, None), (11, range(3, 15)), (12, None)):
+        listed += classify.enumerate_quadric_splittings(d, n_range, paper_rows=paper[d])
+    listed += classify.enumerate_quadric_splittings(1)
+    tricky = classify.RuleResult("hand-made", 'a "splitting": [] inside,\nover two lines', "(0)")
+    listed += [
+        classify.Candidate((0, 0, 0, 0), 4, tricky),
+        classify.Candidate((-1, 0, 0, 1), 4, None, 'quoted "splitting": [] \u00e9', False),
+        classify.Candidate((0, 0, 0, 0, 0), 4, tricky),
+        classify.Candidate((1, 1, 1, 1), 8, tricky),  # the same trace at another degree
+    ]
+    return listed
+
+
+@pytest.mark.parametrize(
+    "candidates",
+    [
+        mixed_candidates(),
+        classify.enumerate_quadric_splittings(
+            9, range(3, 11), rules=tablecli._parse_rules("truncation-positivity,cited-cap")
+        ),
+        [],
+    ],
+    ids=["mixed-d", "custom-rules", "empty"],
+)
+def test_grouped_renderers_match_per_candidate_rendering(candidates):
+    assert tablecli._candidates_text(candidates) == reference_text(candidates)
+    assert tablecli._candidates_json(candidates) == reference_json(candidates)
+    assert tablecli._candidates_csv(candidates) == reference_csv(candidates)
 
 
 def test_packaged_fixture_path_rejects_unknown():
