@@ -18,7 +18,8 @@ coefficient size.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 
 def require_ints(what: str, values: Sequence) -> None:
@@ -28,10 +29,11 @@ def require_ints(what: str, values: Sequence) -> None:
         raise ValueError(f"{what} must be of type int, got {bad!r}")
 
 
-class BaseCurve(NamedTuple("BaseCurve", [("genus", int)])):
+class BaseCurve(namedtuple("BaseCurve", "genus")):
     """A smooth projective curve, carried only through its genus."""
 
     __slots__ = ()
+    genus: int
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, genus: int) -> BaseCurve:
@@ -97,6 +99,8 @@ class ProjBundleModel:
         if rank < 2:
             raise ValueError(f"rank must be at least 2, got {rank}")
         if splitting is not None:
+            if not isinstance(splitting, SplittingType):
+                raise ValueError(f"splitting must be a SplittingType, got {splitting!r}")
             if base.genus != 0:
                 raise ValueError("split bundles are only modelled over a rational base")
             if len(splitting) != rank:
@@ -142,13 +146,14 @@ class ProjBundleModel:
         return self.rank - 1
 
 
-class DivisorClass(NamedTuple):
+class DivisorClass(namedtuple("DivisorClass", "h f")):
     """Integer class h*H + f*F on P(E).
 
     ``+``, ``-``, unary ``-`` and scalar ``*`` act on classes, not as tuple
     concatenation and repetition.
     """
 
+    __slots__ = ()
     h: int
     f: int
 
@@ -171,7 +176,7 @@ H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
 
 
-class ChowElement(NamedTuple):
+class ChowElement(namedtuple("ChowElement", "degree h hf")):
     """Class h*H^degree + hf*H^(degree-1)*F of a product of divisor classes.
 
     Every product of k divisor classes has this normal form: F^2 = 0
@@ -180,6 +185,7 @@ class ChowElement(NamedTuple):
     there h is 0.  Above degree rank the class is zero.
     """
 
+    __slots__ = ()
     degree: int
     h: int
     hf: int
@@ -228,9 +234,10 @@ def canonical_class(bundle: ProjBundleModel) -> DivisorClass:
     return DivisorClass(-bundle.rank, 2 * bundle.base.genus - 2 + bundle.c1)
 
 
-class QuadricInvariants(NamedTuple):
+class QuadricInvariants(namedtuple("QuadricInvariants", "d g s")):
     """Degree, sectional genus and smoothness defect of a member of |2H + bF|."""
 
+    __slots__ = ()
     d: int
     g: int
     s: int
@@ -272,7 +279,10 @@ def sectional_genus_divisor(
     return value // 2 + 1
 
 
-class VeroneseInvariants(NamedTuple):
+class VeroneseInvariants(namedtuple("VeroneseInvariants", "d g")):
+    """Degree and sectional genus of the polarization 2H + bF of a Veronese fibration."""
+
+    __slots__ = ()
     d: int
     g: int
 
@@ -308,7 +318,10 @@ def h0_sym2_twist(splitting: SplittingType, t: int) -> int:
     return h0_line_bundle_sum_P1(_sym2_degrees(splitting.degrees, t))
 
 
-class TruncationViolation(NamedTuple):
+class TruncationViolation(namedtuple("TruncationViolation", "k number")):
+    """The first violated truncation codimension k and its non-positive number."""
+
+    __slots__ = ()
     k: int
     number: int
 
@@ -371,7 +384,12 @@ def corank1_emptiness(splitting: SplittingType, b: int) -> int | None:
     return None
 
 
-class NormalObstructionDetail(NamedTuple):
+class NormalObstructionDetail(
+    namedtuple("NormalObstructionDetail", "index_set p q c h0_p h0_q pairing self_p self_q branch")
+):
+    """The numbers behind ``normal_obstruction``'s verdict; ``branch`` names the case."""
+
+    __slots__ = ()
     index_set: tuple[int, ...]
     p: int
     q: int

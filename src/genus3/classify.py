@@ -13,8 +13,9 @@ source classification's numbering.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from itertools import repeat
-from typing import Mapping, NamedTuple, Sequence
 
 from . import chowcurve
 from .chowcurve import SplittingType
@@ -24,7 +25,10 @@ class UnboundedEnumerationError(ValueError):
     """Raised when a rule set cannot bound the splitting enumeration."""
 
 
-class BranchRecord(NamedTuple):
+class BranchRecord(namedtuple("BranchRecord", "id citation description")):
+    """One structural branch: its id, its citation and what it describes."""
+
+    __slots__ = ()
     id: str
     citation: str
     description: str
@@ -66,9 +70,10 @@ def branch_map() -> list[BranchRecord]:
     return list(_BRANCHES)
 
 
-class QuadricParams(NamedTuple):
+class QuadricParams(namedtuple("QuadricParams", "g_C n")):
     """Parameter map d -> (e, b, s) for hyperquadric fibrations over a curve."""
 
+    __slots__ = ()
     g_C: int
     n: int
 
@@ -101,9 +106,10 @@ def quadric_params(g_C: int, n: int) -> QuadricParams:
     return QuadricParams(g_C=g_C, n=n)
 
 
-class RuleResult(NamedTuple):
+class RuleResult(namedtuple("RuleResult", "rule detail citation")):
     """First violated rule for an excluded candidate."""
 
+    __slots__ = ()
     rule: str
     detail: str
     citation: str
@@ -171,17 +177,19 @@ class FloorBoundRule:
         return None
 
 
-class NCap(NamedTuple):
+class NCap(namedtuple("NCap", "pattern n_max citation")):
     """Cited cap on the fibre dimension for one nonzero-degree pattern."""
 
+    __slots__ = ()
     pattern: tuple[int, ...]  # sorted nonzero degrees; zeros pad freely
     n_max: int
     citation: str
 
 
-class EntryBound(NamedTuple):
+class EntryBound(namedtuple("EntryBound", "d index minimum citation")):
     """Cited lower bound on one sorted entry at a fixed degree."""
 
+    __slots__ = ()
     d: int
     index: int
     minimum: int
@@ -313,18 +321,23 @@ def default_n_range(d: int) -> range:
     return range(3, DEFAULT_N_CAP + 1)
 
 
-class Candidate(NamedTuple):
+class Candidate(
+    namedtuple(
+        "Candidate", "splitting d rule paper_status beyond_paper", defaults=(None, None, False)
+    )
+):
     """One splitting type at degree d, with its first-failed-rule trace.
 
     Only what the enumeration decided is stored; the fibre dimension n,
     the parameters e, b, s (rational base) and the status follow from it.
     """
 
+    __slots__ = ()
     splitting: tuple[int, ...]
     d: int
-    rule: RuleResult | None = None  # None: admitted
-    paper_status: str | None = None
-    beyond_paper: bool = False
+    rule: RuleResult | None  # None: admitted
+    paper_status: str | None
+    beyond_paper: bool
 
     @property
     def n(self) -> int:
@@ -490,10 +503,11 @@ def enumerate_quadric_splittings(
     get that text attached, all other admitted candidates are flagged
     beyond-paper.
     """
+    chowcurve.require_ints("degree", (d,))
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if n_range is None:
-        n_range = default_n_range(d)
+    n_range = tuple(default_n_range(d) if n_range is None else n_range)
+    chowcurve.require_ints("fibre dimensions", n_range)
     dims = sorted(set(n_range))
     if not dims:
         raise ValueError(f"empty fibre-dimension range at d = {d}")
@@ -552,7 +566,10 @@ def elliptic_ampleness_status(d: int) -> str:
     return "ample"
 
 
-class VeroneseSolution(NamedTuple):
+class VeroneseSolution(namedtuple("VeroneseSolution", "g_C e b d")):
+    """One Veronese-fibration parameter solution (g(C), e, b, d)."""
+
+    __slots__ = ()
     g_C: int
     e: int
     b: int
@@ -587,7 +604,10 @@ def veronese_solutions() -> list[VeroneseSolution]:
     return solutions
 
 
-class ReductionRecord(NamedTuple):
+class ReductionRecord(namedtuple("ReductionRecord", "general_type_tuples veronese_blowup_bound")):
+    """The (L^n, r, L'^n) reduction tuples and the Veronese blow-up bound on r."""
+
+    __slots__ = ()
     general_type_tuples: tuple[tuple[int, int, int], ...]
     veronese_blowup_bound: int
 
@@ -620,14 +640,20 @@ def reduction_tuples() -> ReductionRecord:
     )
 
 
-class DeltaNote(NamedTuple):
+class DeltaNote(namedtuple("DeltaNote", "d delta text citation")):
+    """A cited structure note at degree d, for Delta-genus ``delta`` when one is named."""
+
+    __slots__ = ()
     d: int
     delta: int | None
     text: str
     citation: str
 
 
-class DeltaRecord(NamedTuple):
+class DeltaRecord(namedtuple("DeltaRecord", "d_range notes")):
+    """The nef-adjoint degree window and its cited case notes."""
+
+    __slots__ = ()
     d_range: range
     notes: tuple[DeltaNote, ...]
 

@@ -9,22 +9,25 @@ assert-crashing, so a convention mismatch in one row cannot hide another.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 from .chowcurve import require_ints
 
 
-class RuledModel(NamedTuple):
+class RuledModel(namedtuple("RuledModel", "base_genus e")):
     """P^1-bundle over a curve of genus ``base_genus`` with c1(F) = e."""
 
+    __slots__ = ()
     base_genus: int
     e: int
 
 
-class WeightSequence(NamedTuple("WeightSequence", [("weights", tuple[int, ...])])):
+class WeightSequence(namedtuple("WeightSequence", "weights")):
     """Weights (m_r, ..., m_1) of a chain of (-1)-curve contractions."""
 
     __slots__ = ()
+    weights: tuple[int, ...]
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, weights: Sequence[int]) -> WeightSequence:
@@ -46,22 +49,25 @@ class WeightSequence(NamedTuple("WeightSequence", [("weights", tuple[int, ...])]
         return sum(m * m for m in self.weights)
 
 
-_Vector = tuple[int, ...]
-_LATTICE_FIELDS = [
-    ("labels", tuple[str, ...]),
-    ("gram", tuple[_Vector, ...]),
-    ("K", _Vector),
-    ("A", _Vector | None),
-]
+class SurfaceLattice(namedtuple("SurfaceLattice", "labels gram K A")):
+    """Basis, Gram matrix, canonical class and (optional) polarization.
 
-
-class SurfaceLattice(NamedTuple("SurfaceLattice", _LATTICE_FIELDS)):
-    """Basis, Gram matrix, canonical class and (optional) polarization."""
+    Every field is stored as a tuple (the Gram matrix as a tuple of tuple
+    rows), whatever sequences it is given, so a lattice is immutable and
+    hashable.
+    """
 
     __slots__ = ()
+    labels: tuple[str, ...]
+    gram: tuple[tuple[int, ...], ...]
+    K: tuple[int, ...]
+    A: tuple[int, ...] | None
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, labels, gram, K, A=None) -> SurfaceLattice:
+        labels, gram, K = tuple(labels), tuple(map(tuple, gram)), tuple(K)
+        if A is not None:
+            A = tuple(A)
         n = len(labels)
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ValueError("Gram matrix shape must match the basis")
@@ -127,7 +133,7 @@ def blow_up(lattice: SurfaceLattice, weights: WeightSequence) -> SurfaceLattice:
         gram.append(new_row)
     return SurfaceLattice(
         labels=labels,
-        gram=tuple(tuple(row) for row in gram),
+        gram=gram,
         K=lattice.K + (1,) * r,
         A=lattice.A + tuple(-m for m in weights.weights),
     )
@@ -140,7 +146,10 @@ def sectional_genus_surface(KA: int, AA: int) -> int:
     return (KA + AA) // 2 + 1
 
 
-class MinimalizationResult(NamedTuple):
+class MinimalizationResult(namedtuple("MinimalizationResult", "g AA KK genus_drop")):
+    """Sectional genus, A^2 and K^2 of (S, A), and the genus lost to the blow-ups."""
+
+    __slots__ = ()
     g: int
     AA: int
     KK: int
@@ -166,7 +175,10 @@ def minimalization_invariants(
     )
 
 
-class DegTRow(NamedTuple):
+class DegTRow(namedtuple("DegTRow", "degT degG c2 L3")):
+    """One row of the quotient-degree bookkeeping: degT, degG = 1 - degT, c2 and L^3."""
+
+    __slots__ = ()
     degT: int
     degG: int
     c2: int
@@ -188,14 +200,17 @@ def deg_t_enumeration() -> tuple[DegTRow, ...]:
     return tuple(rows)
 
 
-class RowCheck(NamedTuple):
+class RowCheck(
+    namedtuple("RowCheck", "status expected_AA recomputed_AA recomputed_g note", defaults=("",))
+):
     """Recomputation verdict for one surface-table row."""
 
+    __slots__ = ()
     status: str  # "verified" | "discrepancy"
     expected_AA: int
     recomputed_AA: int
     recomputed_g: int
-    note: str = ""
+    note: str
 
 
 # The integer parameters each family of the surface table reads from a row.

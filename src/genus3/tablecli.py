@@ -20,9 +20,10 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import classify, surflat
 from .chowcurve import (
@@ -41,26 +42,41 @@ class FixtureError(ValueError):
     """Malformed fixture file; the message names the row and field."""
 
 
-class ClassificationRow(NamedTuple):
+class ClassificationRow(
+    namedtuple(
+        "ClassificationRow",
+        "table key params paper_status citation expect_discrepancy",
+        defaults=("", "", False),
+    )
+):
     """One fixture row: the raw mapping plus its extracted identity."""
 
+    __slots__ = ()
     table: str
     key: str
     params: dict
-    paper_status: str = ""
-    citation: str = ""
-    expect_discrepancy: bool = False
+    paper_status: str
+    citation: str
+    expect_discrepancy: bool
 
 
-class TableSpec(NamedTuple):
-    """One published table: its fixture schema, row key and recomputation."""
+class TableSpec(
+    namedtuple(
+        "TableSpec", "fields key recompute other check", defaults=({}, lambda index, raw: None)
+    )
+):
+    """One published table: its fixture schema, row key and recomputation.
 
+    ``other`` defaults to no such fields, ``check`` to accepting every row.
+    """
+
+    __slots__ = ()
     fields: tuple[str, ...]  # required integer fields, in exact-list tuple order
     key: Callable[[Mapping], str]
     recompute: Callable[[TableSpec, Sequence[ClassificationRow]], Iterable[Verdict]]
     # required fields of other types: name -> (test of the value, what it must be)
-    other: Mapping[str, tuple[Callable[[object], bool], str]] = {}
-    check: Callable[[int, Mapping], None] = lambda index, raw: None  # row-dependent fields
+    other: Mapping[str, tuple[Callable[[object], bool], str]]
+    check: Callable[[int, Mapping], None]  # row-dependent fields
 
 
 def _is_int(value) -> bool:
@@ -157,14 +173,23 @@ def packaged_fixture_path(table: str) -> str:
 # verification reports
 
 
-class Verdict(NamedTuple):
+class Verdict(
+    namedtuple(
+        "Verdict",
+        "key verdict note expected recomputed whitelisted unexpected",
+        defaults=("", "", "", False, False),
+    )
+):
+    """One row's verdict, with the numbers it compared and how it counts."""
+
+    __slots__ = ()
     key: str
     verdict: str  # "verified" | "discrepancy" | "beyond-paper" | "paper-only"
-    note: str = ""
-    expected: str = ""
-    recomputed: str = ""
-    whitelisted: bool = False
-    unexpected: bool = False
+    note: str
+    expected: str
+    recomputed: str
+    whitelisted: bool
+    unexpected: bool
 
 
 _VERDICT_COLUMNS = ("key", "verdict", "expected", "recomputed", "whitelisted", "unexpected", "note")
@@ -178,7 +203,10 @@ def _csv(header: Sequence[str], records: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(namedtuple("VerificationReport", "table verdicts")):
+    """Every verdict of one table's verification, in text, JSON or CSV."""
+
+    __slots__ = ()
     table: str
     verdicts: tuple[Verdict, ...]
 
@@ -433,7 +461,10 @@ def naive_top_degree(rank: int, c1: int, factors: Sequence[tuple[int, int]]) -> 
     return naive_product(rank, c1, factors).get((rank - 1, 1), 0)
 
 
-class IdentityCounterexample(NamedTuple):
+class IdentityCounterexample(namedtuple("IdentityCounterexample", "n d g_C lhs rhs")):
+    """A grid point where the variant degree/defect relation fails: lhs != rhs."""
+
+    __slots__ = ()
     n: int
     d: int
     g_C: int
@@ -441,7 +472,16 @@ class IdentityCounterexample(NamedTuple):
     rhs: int
 
 
-class SelfTestReport(NamedTuple):
+class SelfTestReport(
+    namedtuple(
+        "SelfTestReport",
+        "grid_points grid_mismatches max_deviation veronese_points veronese_mismatches "
+        "corrected_identity_points corrected_identity_failures variant_identity_counterexamples",
+    )
+):
+    """The oracle self-test's counts, in text or JSON."""
+
+    __slots__ = ()
     grid_points: int
     grid_mismatches: int
     max_deviation: int

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from genus3.chowcurve import (
@@ -90,6 +92,13 @@ class TestTypes:
         # an int or None base would otherwise fail later, at its first .genus
         with pytest.raises(ValueError, match=f"base must be a BaseCurve, got {base!r}$"):
             ProjBundleModel(base, 4, 4)
+
+    @pytest.mark.parametrize("splitting", [(0, 0, 1), [0, 0, 1]], ids=["tuple", "list"])
+    def test_bundle_splitting_must_be_a_splitting_type(self, splitting):
+        # a plain sequence would otherwise fail at its first .c1, as an AttributeError
+        message = f"splitting must be a SplittingType, got {splitting!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            ProjBundleModel(BaseCurve(0), 3, 1, splitting)
 
     def test_bundle_rank_bound(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,23 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_quadric_splittings(0)
 
+    @pytest.mark.parametrize(
+        "d, n_range, bad",
+        [
+            (True, None, "True"),
+            (9.0, None, "9.0"),
+            ("9", None, "'9'"),
+            (9, [3, 4.0], "4.0"),
+            (9, (3, True), "True"),
+            (9, ["3"], "'3'"),
+        ],
+        ids=["d-bool", "d-float", "d-str", "n-float", "n-bool", "n-str"],
+    )
+    def test_integer_inputs_must_be_ints(self, d, n_range, bad):
+        # no listing with d=True, and no TypeError from range() on a float
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            enumerate_quadric_splittings(d, n_range=n_range)
+
     def test_empty_dimension_range_rejected(self):
         with pytest.raises(ValueError, match="empty fibre-dimension range"):
             enumerate_quadric_splittings(9, n_range=range(5, 4))

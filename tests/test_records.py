@@ -3,6 +3,7 @@ path, that do not fall back to tuple behaviour where it would change their
 meaning, and that keep dataclass definitions off the CLI's import path."""
 
 import copy
+import inspect
 import json
 import os
 import pickle
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from genus3 import tablecli
+from genus3 import chowcurve, classify, surflat, tablecli
 from genus3.chowcurve import BaseCurve, DivisorClass, ProjBundleModel, SplittingType
 from genus3.surflat import WeightSequence, make_plane
 
@@ -39,6 +40,33 @@ def test_no_record_is_a_dataclass():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+RECORDS = [
+    value
+    for module in (chowcurve, classify, surflat, tablecli)
+    for value in vars(module).values()
+    if isinstance(value, type)
+    and issubclass(value, tuple)
+    and hasattr(value, "_fields")
+    and value.__module__ == module.__name__
+]
+
+
+def test_every_record_annotates_its_fields_and_binds_none_in_its_body():
+    # Each record is a subclass of a collections.namedtuple that declares one
+    # annotation per field.  A value given to a field there (note: str = "")
+    # would shadow the field's property, so every record would read that value.
+    # Its __slots__ = () keeps a __dict__ off every instance.
+    assert len(RECORDS) == 29
+    wrong = {}
+    for record in RECORDS:
+        annotated = list(inspect.get_annotations(record))
+        bound = [name for name in record._fields if name in vars(record)]
+        slots = vars(record).get("__slots__")
+        if (annotated, bound, slots) != (list(record._fields), [], ()):
+            wrong[record.__qualname__] = (annotated, bound, slots)
+    assert wrong == {}
 
 
 # a passing self-test report, built by hand

@@ -44,6 +44,26 @@ class TestLattices:
         with pytest.raises(ValueError):
             SurfaceLattice(labels=("a", "b"), gram=((0, 1), (2, 0)), K=(0, 0))
 
+    def test_list_inputs_are_stored_as_tuples(self):
+        lattice = SurfaceLattice(["h"], [[1]], [-3], [3])
+        assert lattice == make_plane().with_polarization((3,))
+        assert all(type(part) is tuple for part in (*lattice, *lattice.gram))
+        assert hash(lattice) == hash(make_plane().with_polarization((3,)))
+
+    def test_list_polarization_blows_up(self):
+        lattice = SurfaceLattice(("h",), ((1,),), [-3], [3])
+        blown = blow_up(lattice, WeightSequence((1,)))
+        assert blown.K == (-3, 1) and blown.A == (3, -1)
+        assert pair(blown, blown.A, blown.A) == 8
+
+    def test_gram_rows_given_as_lists_cannot_be_changed(self):
+        rows = [[1]]
+        lattice = SurfaceLattice(["h"], rows, (-3,), (3,))
+        rows[0][0] = 5
+        with pytest.raises(TypeError):
+            lattice.gram[0][0] = 5
+        assert lattice.gram == ((1,),)
+
     def test_vector_length_checked(self):
         lattice = make_plane()
         with pytest.raises(ValueError):
