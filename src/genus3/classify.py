@@ -99,6 +99,8 @@ def quadric_params(g_C: int, n: int) -> QuadricParams:
     Empty d_range for g_C >= 2: the smoothness defect s goes negative for
     every positive degree, so only rational and elliptic bases occur.
     """
+    chowcurve.require_ints("base genus", (g_C,))
+    chowcurve.require_ints("fibration dimension n", (n,))
     if n < 3:
         raise ValueError(f"fibration dimension n must be >= 3, got {n}")
     if g_C < 0:
@@ -132,7 +134,13 @@ class ParamConsistencyRule:
 
 
 class TruncationPositivityRule:
-    """Coordinate-truncation positivity for every applicable codimension."""
+    """Coordinate-truncation positivity for every applicable codimension.
+
+    On a rational base with e_0 <= 0 and n >= 3, the k = n - 1 number is
+    8 - d + 2(e_0 + e_1), so this rule proves two cited bounds: a repeated -1
+    makes it at most 4 - d <= 0 once d >= 4 (3.11), and e_1 <= 0 at d = 8
+    makes it at most 0 (3.20).
+    """
 
     name = "truncation-positivity"
 
@@ -146,17 +154,6 @@ class TruncationPositivityRule:
             f"k={k}: d - 2*(top-{k} sum) = {number} <= 0",
             "(3.7)" if k == 2 else "(3.17.1)",
         )
-
-
-class NoDoubleMinusOneRule:
-    """-1 cannot repeat among the degrees once d >= 4."""
-
-    name = "no-double-minus-one"
-
-    def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
-        if d >= 4 and splitting.count(-1) >= 2:
-            return RuleResult(self.name, "-1 appears twice", "(3.11)")
-        return None
 
 
 class FloorBoundRule:
@@ -216,12 +213,14 @@ N_CAPS: tuple[NCap, ...] = (
 
 ENTRY_BOUNDS: tuple[EntryBound, ...] = (
     EntryBound(d=7, index=2, minimum=1, citation="(3.19)"),
-    EntryBound(d=8, index=1, minimum=1, citation="(3.20)"),
 )
 
 
 class CitedCapRule:
-    """Data-driven caps imported from the case analysis, never re-proved."""
+    """Data-driven caps imported from the case analysis, never re-proved.
+
+    (3.11) and (3.20) are not carried: truncation positivity proves them.
+    """
 
     name = "cited-cap"
 
@@ -290,7 +289,6 @@ class NormalObstructionRule:
 RULES = (
     ParamConsistencyRule,
     TruncationPositivityRule,
-    NoDoubleMinusOneRule,
     FloorBoundRule,
     CitedCapRule,
     Corank1EmptyRule,
@@ -316,6 +314,7 @@ def default_n_range(d: int) -> range:
     grow past it (pinned by the tests up to n = 18, not re-proved here,
     since the caps are cited data).
     """
+    chowcurve.require_ints("degree", (d,))
     if d >= 9:
         return range(3, d // (d - 8) + 1)
     return range(3, DEFAULT_N_CAP + 1)
@@ -556,6 +555,7 @@ def elliptic_ampleness_status(d: int) -> str:
     indecomposable bundle of positive degree on an elliptic curve is
     ample, so decomposability is the only caveat.
     """
+    chowcurve.require_ints("degree", (d,))
     window = quadric_params(1, 3).d_range
     if d not in window:
         raise ValueError(f"elliptic-base degrees lie in [{window[0]}, {window[-1]}], got {d}")

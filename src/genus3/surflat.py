@@ -66,8 +66,10 @@ class SurfaceLattice(namedtuple("SurfaceLattice", "labels gram K A")):
 
     def __new__(cls, labels, gram, K, A=None) -> SurfaceLattice:
         labels, gram, K = tuple(labels), tuple(map(tuple, gram)), tuple(K)
-        if A is not None:
-            A = tuple(A)
+        A = None if A is None else tuple(A)
+        if not all(isinstance(label, str) for label in labels):
+            bad = next(label for label in labels if not isinstance(label, str))
+            raise ValueError(f"basis labels must be of type str, got {bad!r}")
         n = len(labels)
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ValueError("Gram matrix shape must match the basis")
@@ -126,11 +128,8 @@ def blow_up(lattice: SurfaceLattice, weights: WeightSequence) -> SurfaceLattice:
     r = len(weights)
     n = len(lattice.labels)
     labels = lattice.labels + tuple(f"E{i + 1}" for i in range(r))
-    gram = [list(row) + [0] * r for row in lattice.gram]
-    for i in range(r):
-        new_row = [0] * (n + r)
-        new_row[n + i] = -1
-        gram.append(new_row)
+    gram = [row + (0,) * r for row in lattice.gram]
+    gram += [(0,) * (n + i) + (-1,) + (0,) * (r - 1 - i) for i in range(r)]
     return SurfaceLattice(
         labels=labels,
         gram=gram,

@@ -9,7 +9,6 @@ from genus3.classify import (
     CitedCapRule,
     Corank1EmptyRule,
     FloorBoundRule,
-    NoDoubleMinusOneRule,
     NormalObstructionRule,
     ParamConsistencyRule,
     RuleResult,
@@ -108,6 +107,26 @@ class TestQuadricParams:
             quadric_params(0, 2)
         with pytest.raises(ValueError):
             quadric_params(-1, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: quadric_params(0, 3.5), "fibration dimension n must be of type int, got 3.5"),
+        (lambda: quadric_params(True, 3), "base genus must be of type int, got True"),
+        (lambda: quadric_params(0, "3"), "fibration dimension n must be of type int, got '3'"),
+        (lambda: default_n_range(9.0), "degree must be of type int, got 9.0"),
+        (lambda: default_n_range(True), "degree must be of type int, got True"),
+        (lambda: elliptic_ampleness_status(2.0), "degree must be of type int, got 2.0"),
+    ],
+    ids=["params-n-float", "params-genus-bool", "params-n-str", "n-range-float", "n-range-bool",
+         "ampleness-float"],
+)
+def test_parameter_helpers_take_exact_ints(call, message):
+    # no QuadricParams(n=3.5), no TypeError from range(), no "not-ample" for 2.0
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 class TestEnumeration:
@@ -460,13 +479,41 @@ class TestRuleOrder:
                 assert self.statuses(d, n_range, chain) == expected, (d, [r.name for r in chain])
 
 
-class TestRuleChecks:
-    def test_double_minus_one_active_only_from_degree_four(self):
-        rule = NoDoubleMinusOneRule()
-        splitting = SplittingType((-1, -1, 1, 1))
-        assert rule.check(splitting, d=4, b=4, s=8) is not None
-        assert rule.check(splitting, d=3, b=5, s=13) is None
+@pytest.fixture(scope="module")
+def truncation_box():
+    """Every nondecreasing tuple with entries in [-4, 6] summing to e = d - 4, d = 1..12, n = 3..6."""
+    box = []
+    for d in range(1, 13):
+        for n in range(3, 7):
+            for degrees in combinations_with_replacement(range(-4, 7), n + 1):
+                if sum(degrees) == d - 4:
+                    box.append((d, degrees))
+    return box
 
+
+def truncation_excludes(d, degrees):
+    p = quadric_params(0, len(degrees) - 1)
+    trace = TruncationPositivityRule().check(SplittingType(degrees), d=d, b=p.b(d), s=p.s(d))
+    return trace is not None
+
+
+class TestTruncationProvesCitedBounds:
+    """The ``TruncationPositivityRule`` docstring: (3.11) and (3.20) need no rule of their own."""
+
+    def test_repeated_minus_one_is_excluded_from_degree_four(self, truncation_box):
+        # (3.11)
+        tuples = [(d, t) for d, t in truncation_box if d >= 4 and t.count(-1) >= 2]
+        assert len(tuples) == 1833
+        assert all(truncation_excludes(d, t) for d, t in tuples)
+
+    def test_entry_bound_3_20_is_implied_at_degree_eight(self, truncation_box):
+        # (3.20): e_1 >= 1 at d = 8
+        tuples = [(d, t) for d, t in truncation_box if d == 8 and t[1] <= 0]
+        assert len(tuples) == 1196
+        assert all(truncation_excludes(d, t) for d, t in tuples)
+
+
+class TestRuleChecks:
     def test_floor_bound_citations(self):
         rule = FloorBoundRule()
         assert rule.check(SplittingType((-2, 1, 1, 1)), d=5, b=3, s=14).citation == "(3.13)"
@@ -484,7 +531,7 @@ class TestRuleChecks:
     def test_entry_bounds(self):
         rule = CitedCapRule()
         assert rule.check(SplittingType((0, 0, 0, 3)), d=7, b=1, s=10).citation == "(3.19)"
-        assert rule.check(SplittingType((0, 0, 1, 1, 2)), d=8, b=0, s=8).citation == "(3.20)"
+        assert [bound.citation for bound in classify.ENTRY_BOUNDS] == ["(3.19)"]
 
     def test_obstruction_rules_skip_other_ranks(self):
         assert NormalObstructionRule().check(SplittingType((1, 1, 1, 1, 1)), d=9, b=-1, s=5) is None

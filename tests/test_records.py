@@ -89,6 +89,7 @@ VALIDATING = {
     "SurfaceLattice-A": (make_plane().with_polarization((4,)), "A", (4.0,)),
     "SurfaceLattice-gram-float": (make_plane(), "gram", ((1.5,),)),
     "SurfaceLattice-K-bool": (make_plane(), "K", (True,)),
+    "SurfaceLattice-labels": (make_plane(), "labels", (1,)),
 }
 
 

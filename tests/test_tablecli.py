@@ -494,7 +494,15 @@ class TestCli:
         assert captured.err == "error: internal error: RuntimeError: boom\n"
 
     def test_enumerate_unknown_rule(self, capsys):
-        assert main(["enumerate", "--d", "6", "--rules", "nonsense"]) == 2
+        # no-double-minus-one is no rule: truncation positivity implies (3.11)
+        for name in ("nonsense", "no-double-minus-one"):
+            assert main(["enumerate", "--d", "6", "--rules", name]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: unknown rule {name!r}; choose from cited-cap, corank1-empty, floor-bound, "
+                "normal-obstruction, param-consistency, truncation-positivity\n"
+            )
 
     def test_verify_bundled_tables(self, capsys):
         for table in ("2.3", "3.25", "5.7", "2.8.2", "4.4"):
@@ -600,6 +608,32 @@ ENUMERATE_DIGESTS = [
 def test_enumerate_output_is_pinned(capsys, d, n_max, fmt, digest):
     argv = ["enumerate", "--d", str(d), "--format", fmt]
     assert main(argv + ([] if n_max is None else ["--n-max", str(n_max)])) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# stdout SHA-256 of `verify --table T --format F` on the bundled fixtures
+VERIFY_DIGESTS = [
+    ("2.3", "table", "98385baafba4f97314884005eb1892c87a3cdce29d63317ffb40019cde40de77"),
+    ("2.3", "json", "4e0cd2410d10a273ec1753a2a51a67f3a807812b3df6300d706d165290cfa462"),
+    ("2.3", "csv", "117fb3fac9b96d7db47e5017fadba31c143578449e1b37179203879e67339485"),
+    ("3.25", "table", "49801db4d03117608a8424548d2c6ec50ff8e9ef12aa11aa8a3d6afeabcd39c4"),
+    ("3.25", "json", "23b9e8c8e55112196aeeab239f95dbc4d60322cedb8067ee234c9678e0e8621e"),
+    ("3.25", "csv", "19e7e9c0f584ca80dd442ab3282f17e06f34ebf9bc94a163aa0eca106777d846"),
+    ("5.7", "table", "66c0985be8d898e456ee0c5e38afb9791070e3ec9faf507cbe84316bfb5e84a4"),
+    ("5.7", "json", "d4fb6c5b8d769d443b4bf40930c8ea1eea94be5469ea6778cd4017a1ea49c783"),
+    ("5.7", "csv", "5e441c8766dd10f31d33426c7846aa0cac958eda658076565093f599c963a546"),
+    ("2.8.2", "table", "fd2ba47583d63fa0a9d558ae7577bbb643ff09ae499bcab6a07ac042ac7916eb"),
+    ("2.8.2", "json", "938bab41f311d35dde39d3b91c5f0411315ab48c028fa938a8e470bb5ae413f0"),
+    ("2.8.2", "csv", "f8530b1449824a5f290ff22963232591084b974d0c48792e51947f792a90abf9"),
+    ("4.4", "table", "463c12c58e099ec4dc676514ce3fc64efd53911800991b86dec9a97106238e48"),
+    ("4.4", "json", "73e63b01890ec94c98fb319976fcf7ba1f326b2dc953b63bb24761832dbce22c"),
+    ("4.4", "csv", "9a381558d9c9b6306bda391775d209c6058d031b426ea3c1411d8b0ed17cf25c"),
+]
+
+
+@pytest.mark.parametrize("table, fmt, digest", VERIFY_DIGESTS)
+def test_verify_output_is_pinned(capsys, table, fmt, digest):
+    assert main(["verify", "--table", table, "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
