@@ -77,73 +77,33 @@ class SplittingType(tuple):
         return self[:index] + self[index + 1 :]
 
 
-class ProjBundleModel:
+class ProjBundleModel(namedtuple("ProjBundleModel", "base rank c1")):
     """Numerical model of P(E) for a bundle E on a curve.
 
     ``rank`` is the rank of E (so dim P(E) = rank and the fibre dimension
-    is n = rank - 1), ``c1`` its first Chern number.  A splitting type may
-    be attached when the base is rational; splitting-dependent operations
-    require it.
-
-    Immutable and compared by value.  Not a named tuple, because
-    ``splitting`` is optional and hypothesis' ``builds`` fills in every
-    field of a named tuple.
+    is n = rank - 1), ``c1`` its first Chern number.  With the base genus,
+    that is all the Chow ring reads.
     """
 
-    __slots__ = ("base", "rank", "c1", "splitting")
+    __slots__ = ()
+    base: BaseCurve
+    rank: int
+    c1: int
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __init__(self, base: BaseCurve, rank: int, c1: int, splitting: SplittingType | None = None):
+    def __new__(cls, base: BaseCurve, rank: int, c1: int) -> ProjBundleModel:
         if not isinstance(base, BaseCurve):
             raise ValueError(f"base must be a BaseCurve, got {base!r}")
         require_ints("rank and c1", (rank, c1))
         if rank < 2:
             raise ValueError(f"rank must be at least 2, got {rank}")
-        if splitting is not None:
-            if not isinstance(splitting, SplittingType):
-                raise ValueError(f"splitting must be a SplittingType, got {splitting!r}")
-            if base.genus != 0:
-                raise ValueError("split bundles are only modelled over a rational base")
-            if len(splitting) != rank:
-                raise ValueError(f"splitting has {len(splitting)} summands, rank is {rank}")
-            if splitting.c1 != c1:
-                raise ValueError(f"splitting degrees sum to {splitting.c1}, c1 is {c1}")
-        for name, value in zip(self.__slots__, (base, rank, c1, splitting)):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return self.base, self.rank, self.c1, self.splitting
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"ProjBundleModel is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"ProjBundleModel is immutable: cannot delete {name!r}")
-
-    def __reduce__(self) -> tuple:  # copy and pickle build through __init__
-        return ProjBundleModel, self._values()
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ProjBundleModel:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        values = "base={!r}, rank={!r}, c1={!r}, splitting={!r}".format(*self._values())
-        return f"ProjBundleModel({values})"
+        return super().__new__(cls, base, rank, c1)
 
     @classmethod
     def split(cls, degrees: Sequence[int]) -> ProjBundleModel:
         """Model of a split bundle over the projective line."""
         st = SplittingType(degrees)
-        return cls(base=BaseCurve(0), rank=len(st), c1=st.c1, splitting=st)
-
-    @property
-    def n(self) -> int:
-        """Fibre dimension of the bundle map (rank - 1)."""
-        return self.rank - 1
+        return cls(BaseCurve(0), len(st), st.c1)
 
 
 class DivisorClass(namedtuple("DivisorClass", "h f")):

@@ -65,6 +65,8 @@ class SurfaceLattice(namedtuple("SurfaceLattice", "labels gram K A")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, labels, gram, K, A=None) -> SurfaceLattice:
+        if isinstance(labels, str):  # tuple() would split it into one-letter labels
+            raise ValueError(f"basis labels must be a sequence of str, got the str {labels!r}")
         labels, gram, K = tuple(labels), tuple(map(tuple, gram)), tuple(K)
         A = None if A is None else tuple(A)
         if not all(isinstance(label, str) for label in labels):

@@ -127,7 +127,9 @@ def load_fixture(path, table: str | None = None) -> list[ClassificationRow]:
         ) from exc
     if not isinstance(document, dict) or "table" not in document:
         raise FixtureError(f"fixture {path}: top level must be an object with a 'table' id")
-    declared = str(document["table"])
+    declared = document["table"]
+    if type(declared) is not str:
+        raise FixtureError(f"fixture {path}: field 'table' must be a string, got {declared!r}")
     if declared not in TABLES:
         raise FixtureError(f"fixture {path}: unknown table id {declared!r}")
     if table is not None and declared != table:

@@ -1,4 +1,4 @@
-import re
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -72,7 +72,7 @@ class TestTypes:
             (lambda: ProjBundleModel(BaseCurve(0), 3.5, True), "3.5"),
             (lambda: ProjBundleModel(BaseCurve(0), True, 2), "True"),
             (lambda: ProjBundleModel(BaseCurve(0), 3, True), "True"),
-            (lambda: ProjBundleModel(BaseCurve(0), 3, 2.0, SplittingType((0, 1, 1))), "2.0"),
+            (lambda: ProjBundleModel(BaseCurve(0), 3, 2.0), "2.0"),
             (lambda: WeightSequence((2.7, True, "3")), "2.7"),
             (lambda: WeightSequence((2, True)), "True"),
             (lambda: make_plane().with_polarization(("4",)), "'4'"),
@@ -93,26 +93,9 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"base must be a BaseCurve, got {base!r}$"):
             ProjBundleModel(base, 4, 4)
 
-    @pytest.mark.parametrize("splitting", [(0, 0, 1), [0, 0, 1]], ids=["tuple", "list"])
-    def test_bundle_splitting_must_be_a_splitting_type(self, splitting):
-        # a plain sequence would otherwise fail at its first .c1, as an AttributeError
-        message = f"splitting must be a SplittingType, got {splitting!r}"
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            ProjBundleModel(BaseCurve(0), 3, 1, splitting)
-
     def test_bundle_rank_bound(self):
         with pytest.raises(ValueError):
             ProjBundleModel(BaseCurve(0), 1, 0)
-
-    def test_splitting_rank_and_c1_must_match(self):
-        with pytest.raises(ValueError):
-            ProjBundleModel(BaseCurve(0), 4, 5, SplittingType((1, 1, 1)))
-        with pytest.raises(ValueError):
-            ProjBundleModel(BaseCurve(0), 3, 5, SplittingType((1, 1, 1)))
-
-    def test_splitting_requires_rational_base(self):
-        with pytest.raises(ValueError):
-            ProjBundleModel(BaseCurve(1), 3, 3, SplittingType((1, 1, 1)))
 
     def test_divisor_arithmetic(self):
         assert 2 * (H - F) + F == DivisorClass(2, -1)
@@ -418,6 +401,25 @@ class TestNormalObstruction:
     def test_rank_must_be_four(self):
         with pytest.raises(ValueError):
             normal_obstruction(SplittingType((1, 1, 2, 3, 3)), -3)
+
+    def test_numbers_match_ring_on_the_base_locus_surface(self):
+        # on B = P(E_J), a rank-2 bundle with c1 = c, the three numbers are the
+        # intersections (H + pF)^2, (H + qF)^2 and (H + pF)(H + qF)
+        checked = 0
+        for degrees in combinations_with_replacement(range(-5, 6), 4):
+            for b in range(-8, 9):
+                detail = normal_obstruction(SplittingType(degrees), b)
+                if detail is None:
+                    continue
+                surface = ProjBundleModel(BaseCurve(0), 2, detail.c)
+                sp, sq = DivisorClass(1, detail.p), DivisorClass(1, detail.q)
+                ring = [
+                    top_degree(surface, multiply_classes(surface, factors))
+                    for factors in ([sp, sp], [sq, sq], [sp, sq])
+                ]
+                assert ring == [detail.self_p, detail.self_q, detail.pairing], (degrees, b)
+                checked += 1
+        assert checked == 3839
 
 
 class TestReduceElement:

@@ -58,7 +58,7 @@ def test_every_record_annotates_its_fields_and_binds_none_in_its_body():
     # annotation per field.  A value given to a field there (note: str = "")
     # would shadow the field's property, so every record would read that value.
     # Its __slots__ = () keeps a __dict__ off every instance.
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 30
     wrong = {}
     for record in RECORDS:
         annotated = list(inspect.get_annotations(record))
@@ -90,6 +90,11 @@ VALIDATING = {
     "SurfaceLattice-gram-float": (make_plane(), "gram", ((1.5,),)),
     "SurfaceLattice-K-bool": (make_plane(), "K", (True,)),
     "SurfaceLattice-labels": (make_plane(), "labels", (1,)),
+    # a bare str is not split into one-letter labels: "h" would pass as ("h",)
+    "SurfaceLattice-labels-str": (make_plane(), "labels", "h"),
+    "ProjBundleModel-rank": (ProjBundleModel(BaseCurve(0), 3, 2), "rank", 1),
+    "ProjBundleModel-c1": (ProjBundleModel(BaseCurve(0), 3, 2), "c1", 2.0),
+    "ProjBundleModel-base": (ProjBundleModel(BaseCurve(0), 3, 2), "base", 0),
 }
 
 
@@ -140,15 +145,13 @@ def test_records_are_immutable():
 
 
 def test_bundle_models_compare_by_value():
-    same = ProjBundleModel(BaseCurve(0), 3, 2, SplittingType((0, 1, 1)))
+    # as every named-tuple record does, a bundle equals the plain tuple of its fields
+    same = ProjBundleModel(BaseCurve(0), 3, 2)
     assert ProjBundleModel.split((0, 1, 1)) == same
     assert hash(ProjBundleModel.split((0, 1, 1))) == hash(same)
     assert ProjBundleModel(BaseCurve(0), 3, 2) != ProjBundleModel(BaseCurve(1), 3, 2)
-    assert ProjBundleModel(BaseCurve(0), 3, 2) != (BaseCurve(0), 3, 2, None)
-    assert repr(same) == (
-        "ProjBundleModel(base=BaseCurve(genus=0), rank=3, c1=2, "
-        "splitting=SplittingType(degrees=(0, 1, 1)))"
-    )
+    assert same == (BaseCurve(0), 3, 2)
+    assert repr(same) == "ProjBundleModel(base=BaseCurve(genus=0), rank=3, c1=2)"
 
 
 def test_sequence_records_read_their_entries():

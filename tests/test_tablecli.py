@@ -75,6 +75,18 @@ class TestLoadFixture:
         with pytest.raises(FixtureError, match="unknown table id"):
             load_fixture(path)
 
+    @pytest.mark.parametrize("declared", [4.4, 325, None, ["4.4"]], ids=repr)
+    def test_non_string_table_id_is_a_schema_error(self, tmp_path, capsys, declared):
+        # not str() of the value: a float 4.4 would verify as table "4.4"
+        path = tmp_path / "numeric_id.json"
+        path.write_text(json.dumps({"table": declared, "rows": []}))
+        assert main(["verify", "--table", "4.4", "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: fixture {path}: field 'table' must be a string, got {declared!r}\n"
+        )
+
     def test_parse_error_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"table": "5.7", "rows": [}')
