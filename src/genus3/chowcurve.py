@@ -62,19 +62,11 @@ class SplittingType(tuple):
         return super().__new__(cls, degrees)
 
     def __repr__(self) -> str:
-        return f"SplittingType(degrees={self.degrees!r})"
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self)
+        return f"SplittingType(degrees={tuple(self)!r})"
 
     @property
     def c1(self) -> int:
         return sum(self)
-
-    def drop(self, index: int) -> tuple[int, ...]:
-        """Degrees of the corank-one subbundle omitting ``index``."""
-        return self[:index] + self[index + 1 :]
 
 
 class ProjBundleModel(namedtuple("ProjBundleModel", "base rank c1")):
@@ -211,6 +203,8 @@ def quadric_invariants(bundle: ProjBundleModel, b: int) -> QuadricInvariants:
     with e = c1(E).  s >= 0 for an actual fibration, with equality exactly
     when every fibre is smooth; callers filter.
     """
+    if type(b) is not int:
+        require_ints("twist b", (b,))
     e = bundle.c1
     g_c = bundle.base.genus
     return QuadricInvariants(
@@ -258,6 +252,8 @@ def veronese_invariants(bundle: ProjBundleModel, b: int) -> VeroneseInvariants:
     """
     if bundle.rank != 3:
         raise ValueError(f"rank must be 3 for a Veronese fibration model, got {bundle.rank}")
+    if type(b) is not int:
+        require_ints("twist b", (b,))
     polarization = DivisorClass(2, b)
     d = top_degree(bundle, multiply_classes(bundle, [polarization] * 3))
     return VeroneseInvariants(d=d, g=sectional_genus_divisor(bundle, polarization, polarization))
@@ -273,9 +269,9 @@ def _sym2_degrees(degrees: Sequence[int], t: int) -> list[int]:
     return [degrees[i] + degrees[j] + t for i in range(n) for j in range(i, n)]
 
 
-def h0_sym2_twist(splitting: SplittingType, t: int) -> int:
+def h0_sym2_twist(degrees: Sequence[int], t: int) -> int:
     """h^0 on P^1 of Sym^2 of the split bundle twisted by O(t)."""
-    return h0_line_bundle_sum_P1(_sym2_degrees(splitting.degrees, t))
+    return h0_line_bundle_sum_P1(_sym2_degrees(degrees, t))
 
 
 class TruncationViolation(namedtuple("TruncationViolation", "k number")):
@@ -286,7 +282,7 @@ class TruncationViolation(namedtuple("TruncationViolation", "k number")):
     number: int
 
 
-def truncation_positivity(splitting: SplittingType, b: int) -> TruncationViolation | None:
+def truncation_positivity(splitting: Sequence[int], b: int) -> TruncationViolation | None:
     """First violated codimension-k coordinate truncation, or None.
 
     For M in |2H + bF| and the subvariety W cut out by the k largest
@@ -316,7 +312,7 @@ def truncation_positivity(splitting: SplittingType, b: int) -> TruncationViolati
     return None
 
 
-def base_locus_index_set(splitting: SplittingType, b: int) -> tuple[int, ...]:
+def base_locus_index_set(splitting: Sequence[int], b: int) -> tuple[int, ...]:
     """Indices of coordinate summands inside the base locus of |2H + bF|.
 
     A section of |2H + bF| is a b-twisted quadric in the fibre coordinates;
@@ -326,10 +322,10 @@ def base_locus_index_set(splitting: SplittingType, b: int) -> tuple[int, ...]:
     i.e. J = {i : 2 e_i + b < 0} by sortedness.  Empty J means the system
     is free of coordinate-subbundle base components.
     """
-    return tuple(i for i, a in enumerate(splitting.degrees) if 2 * a + b < 0)
+    return tuple(i for i, a in enumerate(splitting) if 2 * a + b < 0)
 
 
-def corank1_emptiness(splitting: SplittingType, b: int) -> int | None:
+def corank1_emptiness(splitting: Sequence[int], b: int) -> int | None:
     """Non-existence via an empty restricted system on a corank-one locus.
 
     Removing one summand gives a divisor W = P(E_I) not contained in a
@@ -339,7 +335,7 @@ def corank1_emptiness(splitting: SplittingType, b: int) -> int | None:
     or None when every restriction has sections.
     """
     for i in range(len(splitting)):
-        if h0_line_bundle_sum_P1(_sym2_degrees(splitting.drop(i), b)) == 0:
+        if h0_sym2_twist(splitting[:i] + splitting[i + 1 :], b) == 0:
             return i
     return None
 
@@ -362,7 +358,7 @@ class NormalObstructionDetail(
     branch: str
 
 
-def normal_obstruction(splitting: SplittingType, b: int) -> NormalObstructionDetail | None:
+def normal_obstruction(degrees: Sequence[int], b: int) -> NormalObstructionDetail | None:
     """Non-existence via the normal-bundle sequence along a surface base locus.
 
     Defined for rank 4 only.  Returns None unless the base locus of
@@ -380,10 +376,9 @@ def normal_obstruction(splitting: SplittingType, b: int) -> NormalObstructionDet
 
     Otherwise ``branch`` is "none".
     """
-    degrees = splitting.degrees
     if len(degrees) != 4:
         raise ValueError("the normal-bundle obstruction is specific to rank-4 splittings")
-    index_set = base_locus_index_set(splitting, b)
+    index_set = base_locus_index_set(degrees, b)
     if len(index_set) != 2:
         return None
     complement = [i for i in range(4) if i not in index_set]

@@ -18,7 +18,6 @@ from collections.abc import Mapping, Sequence
 from itertools import repeat
 
 from . import chowcurve
-from .chowcurve import SplittingType
 
 
 class UnboundedEnumerationError(ValueError):
@@ -127,7 +126,7 @@ class ParamConsistencyRule:
     # the verdict reads only d, b and s, so the splitting argument may be None
     reads_splitting = False
 
-    def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
+    def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         if s < 0:
             return RuleResult(self.name, f"s = {s} < 0", "(3.1)")
         return None
@@ -144,7 +143,7 @@ class TruncationPositivityRule:
 
     name = "truncation-positivity"
 
-    def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
+    def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         violation = chowcurve.truncation_positivity(splitting, b)
         if violation is None:
             return None
@@ -162,7 +161,7 @@ class FloorBoundRule:
     name = "floor-bound"
     _bounds = ((9, 1, "(3.15)"), (7, 0, "(3.14)"), (5, -1, "(3.13)"))
 
-    def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
+    def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         e0 = splitting[0]
         for d_min, floor, citation in self._bounds:
             if d >= d_min:
@@ -224,7 +223,7 @@ class CitedCapRule:
 
     name = "cited-cap"
 
-    def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
+    def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         n = len(splitting) - 1
         nonzero = tuple(a for a in splitting if a != 0)
         for cap in N_CAPS:
@@ -249,7 +248,7 @@ class Corank1EmptyRule:
 
     name = "corank1-empty"
 
-    def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
+    def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         witness = chowcurve.corank1_emptiness(splitting, b)
         if witness is None:
             return None
@@ -266,7 +265,7 @@ class NormalObstructionRule:
 
     name = "normal-obstruction"
 
-    def check(self, splitting: SplittingType, d: int, b: int, s: int) -> RuleResult | None:
+    def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         if len(splitting) != 4:
             return None
         detail = chowcurve.normal_obstruction(splitting, b)
@@ -466,7 +465,7 @@ def _generate_splittings(d: int, e: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _first_failure(
-    rules: Sequence, splitting: SplittingType | None, d: int, b: int, s: int
+    rules: Sequence, splitting: tuple[int, ...] | None, d: int, b: int, s: int
 ) -> RuleResult | None:
     for rule in rules:
         trace = rule.check(splitting, d=d, b=b, s=s)
@@ -493,9 +492,9 @@ def enumerate_quadric_splittings(
     The leading run of rules whose verdict reads only (d, b, s), marked
     ``reads_splitting = False``, is checked once per fibre dimension.
     When one of them fires, every tuple at that n is excluded with that
-    one shared trace and no ``SplittingType`` is built for it; otherwise
-    the remaining rules run per candidate.  Traces are the same as when
-    every rule runs on every candidate.
+    one shared trace; otherwise the remaining rules run per candidate, on
+    the generator's plain tuples of exact ints.  Traces are the same as
+    when every rule runs on every candidate.
 
     ``paper_rows`` optionally maps splitting tuples to the status text of
     the published table at this degree; admitted candidates found there
@@ -533,7 +532,7 @@ def enumerate_quadric_splittings(
             candidates.extend(map(tuple.__new__, repeat(Candidate), fields))
             continue
         for degrees in _generate_splittings(d, e, n):
-            trace = _first_failure(splitting_rules, SplittingType(degrees), d, b, s)
+            trace = _first_failure(splitting_rules, degrees, d, b, s)
             if trace is not None:
                 candidates.append(Candidate(degrees, d, trace))
                 continue

@@ -5,7 +5,7 @@ schema, row key and recomputation.  Fixtures are UTF-8 JSON, one document
 per table, rows as objects; the splitting types are integer arrays and
 status texts are copied verbatim from the published tables.  Expected
 discrepancies are whitelisted in the fixture itself (flag
-``expect_discrepancy``), so the exception ledger is data rather than code.
+``expect_discrepancy``: ``true``), so the exception ledger is data rather than code.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error (or an
 internal error, reported in one line without a traceback), 141 when the reader
@@ -42,41 +42,28 @@ class FixtureError(ValueError):
     """Malformed fixture file; the message names the row and field."""
 
 
-class ClassificationRow(
-    namedtuple(
-        "ClassificationRow",
-        "table key params paper_status citation expect_discrepancy",
-        defaults=("", "", False),
-    )
-):
-    """One fixture row: the raw mapping plus its extracted identity."""
+class ClassificationRow(namedtuple("ClassificationRow", "table key params")):
+    """One fixture row: its table, its key and the checked mapping itself."""
 
     __slots__ = ()
     table: str
     key: str
     params: dict
-    paper_status: str
-    citation: str
-    expect_discrepancy: bool
 
 
 class TableSpec(
-    namedtuple(
-        "TableSpec", "fields key recompute other check", defaults=({}, lambda index, raw: None)
-    )
+    namedtuple("TableSpec", "fields key recompute check", defaults=(lambda index, raw: None,))
 ):
     """One published table: its fixture schema, row key and recomputation.
 
-    ``other`` defaults to no such fields, ``check`` to accepting every row.
+    ``check`` defaults to accepting every row.
     """
 
     __slots__ = ()
     fields: tuple[str, ...]  # required integer fields, in exact-list tuple order
     key: Callable[[Mapping], str]
     recompute: Callable[[TableSpec, Sequence[ClassificationRow]], Iterable[Verdict]]
-    # required fields of other types: name -> (test of the value, what it must be)
-    other: Mapping[str, tuple[Callable[[object], bool], str]]
-    check: Callable[[int, Mapping], None]  # row-dependent fields
+    check: Callable[[int, Mapping], None]  # every field beyond ``fields``
 
 
 def _is_int(value) -> bool:
@@ -97,17 +84,8 @@ def _to_row(table: str, index: int, raw: object) -> ClassificationRow:
     spec = TABLES[table]
     for name in spec.fields:
         _require(index, raw, name)
-    for name, (test, what) in spec.other.items():
-        _require(index, raw, name, test, what)
     spec.check(index, raw)
-    return ClassificationRow(
-        table=table,
-        key=spec.key(raw),
-        params=dict(raw),
-        paper_status=str(raw.get("status", "")),
-        citation=str(raw.get("citation", "")),
-        expect_discrepancy=bool(raw.get("expect_discrepancy", False)),
-    )
+    return ClassificationRow(table, spec.key(raw), dict(raw))
 
 
 def load_fixture(path, table: str | None = None) -> list[ClassificationRow]:
@@ -121,6 +99,8 @@ def load_fixture(path, table: str | None = None) -> list[ClassificationRow]:
             document = json.load(handle)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise FixtureError(f"fixture {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(
             f"fixture {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -257,14 +237,15 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
             given = ", ".join(f"{n!r} = {row.params[n]}" for n in names if n in row.params)
             raise FixtureError(f"row {index}: {row.key}: {exc}; the row gives {given}") from exc
         flagged = check.status == "discrepancy"
+        whitelisted = flagged and row.params.get("expect_discrepancy") is True
         yield Verdict(
             key=row.key,
             verdict=check.status,
             note=check.note,
             expected=f"A^2={check.expected_AA}, g=3",
             recomputed=f"A^2={check.recomputed_AA}, g={check.recomputed_g}",
-            whitelisted=flagged and row.expect_discrepancy,
-            unexpected=flagged and not row.expect_discrepancy,
+            whitelisted=whitelisted,
+            unexpected=flagged and not whitelisted,
         )
 
 
@@ -273,7 +254,7 @@ def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator
     for row in rows:
         by_d.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row
     for d in sorted(set(by_d).union(classify.quadric_params(0, 3).d_range)):
-        table_rows = {split: row.paper_status for split, row in by_d.get(d, {}).items()}
+        table_rows = {split: row.params["status"] for split, row in by_d.get(d, {}).items()}
         candidates = classify.enumerate_quadric_splittings(d, paper_rows=table_rows)
         admitted = {c.splitting: c for c in candidates if c.status == "admitted"}
         excluded = None  # splitting -> trace, built at the first paper-only row
@@ -336,9 +317,15 @@ def _is_splitting(value) -> bool:
     )
 
 
-def _check_family_fields(index: int, raw: Mapping) -> None:
-    """A 2.3 row carries its family's integer parameters and positive integer weights."""
-    for name in surflat.FAMILY_FIELDS[raw["family"]]:
+def _check_2_3(index: int, raw: Mapping) -> None:
+    """A 2.3 row's family, that family's integer parameters, and the optional
+    positive integer weights and boolean ``expect_discrepancy``."""
+    families = surflat.FAMILY_FIELDS
+    _require(
+        index, raw, "family",
+        lambda v: isinstance(v, str) and v in families, "one of " + ", ".join(families),
+    )
+    for name in families[raw["family"]]:
         _require(index, raw, name)
     if "weights" in raw:
         _require(
@@ -346,10 +333,18 @@ def _check_family_fields(index: int, raw: Mapping) -> None:
             lambda v: isinstance(v, list) and all(_is_int(m) and m >= 1 for m in v),
             "an integer array with entries >= 1",
         )
+    if "expect_discrepancy" in raw:
+        _require(index, raw, "expect_discrepancy", lambda v: type(v) is bool, "true or false")
 
 
-def _check_quadric_relations(index: int, raw: Mapping) -> None:
-    """A 3.25 degree lies in the rational-base window and the splitting sums to e."""
+def _check_3_25(index: int, raw: Mapping) -> None:
+    """A 3.25 row's ascending splitting and status text; the degree lies in the
+    rational-base window and the splitting sums to e."""
+    _require(
+        index, raw, "splitting",
+        _is_splitting, "an integer array, ascending, with at least 4 entries",
+    )
+    _require(index, raw, "status", lambda v: isinstance(v, str), "a string")
     window = classify.quadric_params(0, 3).d_range
     _require(index, raw, "d", window.__contains__, f"in [{window[0]}, {window[-1]}]")
     e = classify.quadric_params(0, len(raw["splitting"]) - 1).e(raw["d"])
@@ -363,25 +358,15 @@ def _key_2_3(raw: Mapping) -> str:
 TABLES: dict[str, TableSpec] = {
     "2.3": TableSpec(
         fields=("row", "A2"),
-        other={
-            "family": (
-                lambda v: isinstance(v, str) and v in surflat.FAMILY_FIELDS,
-                "one of " + ", ".join(surflat.FAMILY_FIELDS),
-            )
-        },
         key=_key_2_3,
         recompute=_verify_2_3,
-        check=_check_family_fields,
+        check=_check_2_3,
     ),
     "3.25": TableSpec(
         fields=("d",),
-        other={
-            "splitting": (_is_splitting, "an integer array, ascending, with at least 4 entries"),
-            "status": (lambda v: isinstance(v, str), "a string"),
-        },
         key=lambda raw: f"d={raw['d']} {tuple(raw['splitting'])}",
         recompute=_verify_3_25,
-        check=_check_quadric_relations,
+        check=_check_3_25,
     ),
     "5.7": TableSpec(
         fields=("Ln", "r", "Lpn"),
@@ -769,7 +754,7 @@ def _cmd_enumerate(args) -> int:
     rules = _parse_rules(args.rules)
     rows = load_fixture(packaged_fixture_path("3.25"), "3.25")
     paper_rows = {
-        tuple(r.params["splitting"]): r.paper_status
+        tuple(r.params["splitting"]): r.params["status"]
         for r in rows
         if r.params["d"] == args.d
     }

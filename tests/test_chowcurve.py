@@ -76,10 +76,14 @@ class TestTypes:
             (lambda: WeightSequence((2.7, True, "3")), "2.7"),
             (lambda: WeightSequence((2, True)), "True"),
             (lambda: make_plane().with_polarization(("4",)), "'4'"),
+            (lambda: quadric_invariants(ProjBundleModel(BaseCurve(0), 4, 6), 2.5), "2.5"),
+            (lambda: quadric_invariants(ProjBundleModel(BaseCurve(0), 4, 6), True), "True"),
+            (lambda: veronese_invariants(ProjBundleModel(BaseCurve(0), 3, 2), -1.0), "-1.0"),
         ],
         ids=[
             "genus-float", "genus-bool", "genus-str", "rank-float", "rank-bool",
             "c1-bool", "c1-float", "weights-mixed", "weights-bool", "polarization-str",
+            "quadric-b-float", "quadric-b-bool", "veronese-b-float",
         ],
     )
     def test_integer_fields_must_be_ints(self, build, bad):
@@ -288,7 +292,7 @@ class TestH0Counts:
     def test_sym2_twists(self):
         assert h0_sym2_twist(SplittingType((1, 2, 2, 2)), -3) == 15
         assert h0_sym2_twist(SplittingType((1, 2, 2, 3)), -4) == 11
-        assert h0_sym2_twist(SplittingType((0, 0)), 0) == 3
+        assert h0_sym2_twist((0, 0), 0) == 3  # a plain tuple, as the enumerator passes
 
 
 def ring_truncation_number(splitting, b, k):
@@ -357,7 +361,7 @@ class TestTruncationPositivity:
 
 class TestBaseLocus:
     def test_surface_base_locus(self):
-        assert base_locus_index_set(SplittingType((1, 1, 2, 3)), -3) == (0, 1)
+        assert base_locus_index_set((1, 1, 2, 3), -3) == (0, 1)
 
     def test_curve_base_locus(self):
         assert base_locus_index_set(SplittingType((1, 2, 2, 2)), -3) == (0,)
@@ -368,7 +372,7 @@ class TestBaseLocus:
 
 class TestCorank1:
     def test_excluded_with_witness(self):
-        assert corank1_emptiness(SplittingType((1, 1, 1, 4)), -3) == 3
+        assert corank1_emptiness((1, 1, 1, 4), -3) == 3
 
     def test_excluded_degree12(self):
         assert corank1_emptiness(SplittingType((1, 1, 1, 5)), -4) is not None
@@ -379,7 +383,7 @@ class TestCorank1:
 
 class TestNormalObstruction:
     def test_pairing_branch(self):
-        detail = normal_obstruction(SplittingType((1, 1, 2, 3)), -3)
+        detail = normal_obstruction((1, 1, 2, 3), -3)
         assert detail.branch == "pairing"
         assert detail.pairing == 1
 

@@ -374,6 +374,11 @@ class TestGenerator:
         for d in range(1, 13):
             for n in range(3, 23):
                 tuples = classify._generate_splittings(d, d - 4, n)
+                # the rules read these tuples as they are, with no SplittingType check
+                assert all(
+                    type(t) is tuple and {*map(type, t)} == {int} and list(t) == sorted(t)
+                    for t in tuples
+                ), (d, n)
                 with monkeypatch.context() as patch:
                     patch.setattr(classify, "_ascending_sums", reference_ascending_sums)
                     assert tuples == classify._generate_splittings(d, d - 4, n), (d, n)
@@ -535,7 +540,7 @@ class TestRuleChecks:
 
     def test_obstruction_rules_skip_other_ranks(self):
         assert NormalObstructionRule().check(SplittingType((1, 1, 1, 1, 1)), d=9, b=-1, s=5) is None
-        assert Corank1EmptyRule().check(SplittingType((1, 2, 2, 2)), d=11, b=-3, s=2) is None
+        assert Corank1EmptyRule().check((1, 2, 2, 2), d=11, b=-3, s=2) is None
 
     def test_truncation_rule_reports_smallest_k(self):
         trace = TruncationPositivityRule().check(SplittingType((-2, 0, 1, 2)), d=5, b=3, s=14)

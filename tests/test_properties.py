@@ -146,7 +146,7 @@ def test_h0_sym2_twist_monotone(splitting, t, bump):
     base = h0_sym2_twist(splitting, t)
     assert h0_sym2_twist(splitting, t + 1) >= base
     index = len(splitting) - 1
-    raised = SplittingType(splitting.degrees[:index] + (splitting.degrees[index] + abs(bump),))
+    raised = SplittingType(splitting[:index] + (splitting[index] + abs(bump),))
     assert h0_sym2_twist(raised, t) >= base
 
 
@@ -161,7 +161,7 @@ def test_truncation_number_matches_ring(splitting, b):
             factors = (
                 [DivisorClass(1, 0)] * (n - k)
                 + [DivisorClass(2, b)]
-                + [DivisorClass(1, -e) for e in splitting.degrees[-k:]]
+                + [DivisorClass(1, -e) for e in splitting[-k:]]
             )
             ring[k] = top_degree(bundle, multiply_classes(bundle, factors))
     violation = truncation_positivity(splitting, b)

@@ -161,6 +161,10 @@ class TestLoadFixture:
             ("3.25", 0, "splitting", [0, 0, 0, 0]),  # sums to 0, not e = 1 - 4
             # K.A + A^2 = 5 is odd, so the II-1 row admits no sectional genus
             ("2.3", 1, "KA", 3),
+            # the whitelist flag of the VII-3/e=1 row must be a JSON true or false
+            ("2.3", 25, "expect_discrepancy", "false"),
+            ("2.3", 25, "expect_discrepancy", 1),
+            ("2.3", 25, "expect_discrepancy", None),
         ],
     )
     def test_malformed_field_names_row_and_field(
@@ -296,14 +300,19 @@ class TestVerify:
         for row in bundled_rows("2.3"):
             params = dict(row.params)
             params.pop("expect_discrepancy", None)
-            rows.append(
-                tablecli.ClassificationRow(
-                    table=row.table, key=row.key, params=params,
-                    paper_status=row.paper_status, citation=row.citation,
-                )
-            )
+            rows.append(tablecli.ClassificationRow(table=row.table, key=row.key, params=params))
         report = verify("2.3", rows)
         assert report.exit_status == 1
+
+    def test_2_3_rows_built_from_their_mapping_keep_the_whitelist(self):
+        # the flag is read from the checked mapping, the one place a row keeps it
+        rows = [
+            tablecli.ClassificationRow(table=row.table, key=row.key, params=row.params)
+            for row in bundled_rows("2.3")
+        ]
+        report = verify("2.3", rows)
+        assert report.exit_status == 0
+        assert report.counts == {"verified": 31, "discrepancy": 1}
 
     def test_exact_list_tables(self):
         keys = {
@@ -524,6 +533,21 @@ class TestCli:
     def test_verify_missing_fixture(self, capsys):
         assert main(["verify", "--table", "5.7", "--fixture", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"table": "5.7", "rows": [\xff]}',
+            b'{"table": "5.7", "rows": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["non-utf8-byte", "deeply-nested-rows"],
+    )
+    def test_unreadable_fixture_names_the_fixture(self, tmp_path, capsys, content):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        assert main(["verify", "--table", "5.7", "--fixture", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: fixture {path}: " in err and "internal error" not in err
+
     def test_verify_failure_exit_code(self, tmp_path, capsys):
         rows = bundled_rows("2.3")
         stripped = []
@@ -693,7 +717,7 @@ def mixed_candidates():
     """
     paper = {}
     for row in bundled_rows("3.25"):
-        paper.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row.paper_status
+        paper.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row.params["status"]
     listed = []
     for d, n_range in ((1, None), (11, range(3, 15)), (12, None)):
         listed += classify.enumerate_quadric_splittings(d, n_range, paper_rows=paper[d])
