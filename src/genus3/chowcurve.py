@@ -147,14 +147,15 @@ def multiply_classes(bundle: ProjBundleModel, factors: Sequence[DivisorClass]) -
     """Product of divisor classes in the Chow ring of P(E), in normal form.
 
     Multiplying a*H^k + b*H^(k-1)*F by h*H + f*F gives
-    a*h*H^(k+1) + (a*f + b*h)*H^k*F, so the factors fold into one pair of
-    coefficients; the relation is applied once, at the end.
+    a*h*H^(k+1) + (a*f + b*h)*H^k*F, so the factors, each read as a pair
+    (h, f), fold into one pair of coefficients; the relation is applied
+    once, at the end.
     """
     if not factors:
         raise ValueError("factors must be non-empty")
     a, b = 1, 0
-    for cls in factors:
-        a, b = a * cls.h, a * cls.f + b * cls.h
+    for h, f in factors:
+        a, b = a * h, a * f + b * h
     degree = len(factors)
     if degree < bundle.rank:
         return ChowElement(degree, a, b)
@@ -206,12 +207,8 @@ def quadric_invariants(bundle: ProjBundleModel, b: int) -> QuadricInvariants:
     if type(b) is not int:
         require_ints("twist b", (b,))
     e = bundle.c1
-    g_c = bundle.base.genus
-    return QuadricInvariants(
-        d=2 * e + b,
-        g=2 * g_c - 2 + e + b + 1,
-        s=2 * e + bundle.rank * b,
-    )
+    # positional: keyword arguments make this call about a third slower
+    return QuadricInvariants(2 * e + b, 2 * bundle.base.genus - 1 + e + b, 2 * e + bundle.rank * b)
 
 
 def sectional_genus_divisor(
@@ -224,10 +221,11 @@ def sectional_genus_divisor(
     Raises when the adjoint number is odd (no genus interpretation).
     """
     n = bundle.rank - 1
-    adjoint = canonical_class(bundle) + member + (n - 1) * polarization
-    value = top_degree(
-        bundle, multiply_classes(bundle, [adjoint] + [polarization] * (n - 1) + [member])
-    )
+    k_h, k_f = canonical_class(bundle)
+    (m_h, m_f), (l_h, l_f) = member, polarization
+    adjoint = DivisorClass(k_h + m_h + (n - 1) * l_h, k_f + m_f + (n - 1) * l_f)
+    factors = [adjoint, *[polarization] * (n - 1), member]
+    value = top_degree(bundle, multiply_classes(bundle, factors))
     if value % 2 != 0:
         raise ValueError(f"odd adjoint number {value}: not of the form 2g - 2")
     return value // 2 + 1
@@ -256,7 +254,7 @@ def veronese_invariants(bundle: ProjBundleModel, b: int) -> VeroneseInvariants:
         require_ints("twist b", (b,))
     polarization = DivisorClass(2, b)
     d = top_degree(bundle, multiply_classes(bundle, [polarization] * 3))
-    return VeroneseInvariants(d=d, g=sectional_genus_divisor(bundle, polarization, polarization))
+    return VeroneseInvariants(d, sectional_genus_divisor(bundle, polarization, polarization))
 
 
 def h0_line_bundle_sum_P1(degrees: Iterable[int]) -> int:
@@ -333,10 +331,15 @@ def corank1_emptiness(splitting: Sequence[int], b: int) -> int | None:
     If h^0 of that restricted system vanishes for some removed index the
     candidate cannot exist.  Returns the first such index (the witness),
     or None when every restriction has sections.
+
+    An index whose degree equals the previous one is skipped: removing
+    either leaves the same summands, and the earlier index comes first.
     """
-    for i in range(len(splitting)):
-        if h0_sym2_twist(splitting[:i] + splitting[i + 1 :], b) == 0:
+    previous = None
+    for i, a in enumerate(splitting):
+        if a != previous and h0_sym2_twist(splitting[:i] + splitting[i + 1 :], b) == 0:
             return i
+        previous = a
     return None
 
 

@@ -139,20 +139,27 @@ class TruncationPositivityRule:
     8 - d + 2(e_0 + e_1), so this rule proves two cited bounds: a repeated -1
     makes it at most 4 - d <= 0 once d >= 4 (3.11), and e_1 <= 0 at d = 8
     makes it at most 0 (3.20).
+
+    A trace reads only the violation (k, number), so an instance builds one
+    ``RuleResult`` per distinct violation and hands it to every candidate
+    with it; a new instance starts with none (the d = 1..12, n = 3..14
+    sweep's 2,332 truncation exclusions carry 7 distinct traces).
     """
 
     name = "truncation-positivity"
+
+    def __init__(self) -> None:
+        self._traces: dict[chowcurve.TruncationViolation, RuleResult] = {}
 
     def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         violation = chowcurve.truncation_positivity(splitting, b)
         if violation is None:
             return None
-        k, number = violation
-        return RuleResult(
-            self.name,
-            f"k={k}: d - 2*(top-{k} sum) = {number} <= 0",
-            "(3.7)" if k == 2 else "(3.17.1)",
-        )
+        if violation not in self._traces:
+            k, number = violation
+            detail = f"k={k}: d - 2*(top-{k} sum) = {number} <= 0"
+            self._traces[violation] = RuleResult(self.name, detail, "(3.7)" if k == 2 else "(3.17.1)")
+        return self._traces[violation]
 
 
 class FloorBoundRule:
@@ -465,10 +472,10 @@ def _generate_splittings(d: int, e: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _first_failure(
-    rules: Sequence, splitting: tuple[int, ...] | None, d: int, b: int, s: int
+    checks: Sequence, splitting: tuple[int, ...] | None, d: int, b: int, s: int
 ) -> RuleResult | None:
-    for rule in rules:
-        trace = rule.check(splitting, d=d, b=b, s=s)
+    for check in checks:
+        trace = check(splitting, d=d, b=b, s=s)
         if trace is not None:
             return trace
     return None
@@ -519,11 +526,13 @@ def enumerate_quadric_splittings(
     lead = 0
     while lead < len(rules) and not getattr(rules[lead], "reads_splitting", True):
         lead += 1
-    param_rules, splitting_rules = rules[:lead], rules[lead:]
+    # each rule's check is bound once per call, not once per candidate
+    checks = [rule.check for rule in rules]
+    param_checks, splitting_checks = checks[:lead], checks[lead:]
     candidates = []
     for p in params:
         n, e, b, s = p.n, p.e(d), p.b(d), p.s(d)
-        trace = _first_failure(param_rules, None, d, b, s)
+        trace = _first_failure(param_checks, None, d, b, s)
         if trace is not None:
             # all five Candidate fields, built in C: no Python-level call per tuple
             fields = zip(
@@ -532,9 +541,9 @@ def enumerate_quadric_splittings(
             candidates.extend(map(tuple.__new__, repeat(Candidate), fields))
             continue
         for degrees in _generate_splittings(d, e, n):
-            trace = _first_failure(splitting_rules, degrees, d, b, s)
+            trace = _first_failure(splitting_checks, degrees, d, b, s)
             if trace is not None:
-                candidates.append(Candidate(degrees, d, trace))
+                candidates.append(tuple.__new__(Candidate, (degrees, d, trace, None, False)))
                 continue
             known = None if paper_rows is None else paper_rows.get(degrees)
             candidates.append(

@@ -1,7 +1,10 @@
+import functools
+import random
 from itertools import combinations_with_replacement
 
 import pytest
 
+from genus3 import chowcurve, classify
 from genus3.chowcurve import (
     BaseCurve,
     ChowElement,
@@ -143,6 +146,18 @@ class TestMultiply:
         assert multiply_classes(bundle, factors[::-1]) == expected
         assert multiply_classes(bundle, [factors[2], factors[0], factors[4], factors[3], factors[1]]) == expected
 
+    def test_plain_pairs_multiply_as_divisor_classes(self):
+        # the ring reads each factor as an (h, f) pair, whatever its type
+        rng = random.Random(7)
+        for rank in range(2, 7):
+            for c1 in range(-3, 4):
+                bundle = ProjBundleModel(BaseCurve(rank % 3), rank, c1)
+                for k in range(1, rank + 2):
+                    pairs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(k)]
+                    element = multiply_classes(bundle, pairs)
+                    assert type(element) is ChowElement
+                    assert element == multiply_classes(bundle, [DivisorClass(*p) for p in pairs])
+
 
 class TestTopDegree:
     def test_fibre_point_normalisation(self):
@@ -225,7 +240,51 @@ class TestQuadricInvariants:
         assert (inv.d, inv.g, inv.s) == (12, 3, 0)
 
 
+def sectional_genus_reference(bundle, member, polarization):
+    """``sectional_genus_divisor`` with its adjoint built by class arithmetic, as it was."""
+    n = bundle.rank - 1
+    adjoint = canonical_class(bundle) + member + (n - 1) * polarization
+    value = chowcurve.top_degree(
+        bundle,
+        chowcurve.multiply_classes(bundle, [adjoint] + [polarization] * (n - 1) + [member]),
+    )
+    if value % 2 != 0:
+        raise ValueError(f"odd adjoint number {value}: not of the form 2g - 2")
+    return value // 2 + 1
+
+
 class TestSectionalGenusDivisor:
+    def test_matches_class_arithmetic_route_on_a_box(self):
+        # 198,450 cases; entries in [-4, 4] for both classes would take about 10 s
+        members = [DivisorClass(h, f) for h in range(-3, 4) for f in range(-3, 4)]
+        polarizations = [DivisorClass(h, f) for h in range(-2, 3) for f in range(-2, 3)]
+        for g_c in (0, 1, 2):
+            for rank in range(2, 8):
+                for c1 in range(-4, 5):
+                    bundle = ProjBundleModel(BaseCurve(g_c), rank, c1)
+                    for polarization in polarizations:
+                        got = [sectional_genus_divisor(bundle, m, polarization) for m in members]
+                        expected = [
+                            sectional_genus_reference(bundle, m, polarization) for m in members
+                        ]
+                        assert got == expected, (bundle, polarization)
+
+    def test_odd_adjoint_number_raises_as_before(self, monkeypatch):
+        # no integer class gives an odd number (see the parity test), so break the ring
+        real = chowcurve.multiply_classes
+
+        def off_by_one(bundle, factors):
+            element = real(bundle, factors)
+            return element._replace(hf=element.hf + 1)
+
+        monkeypatch.setattr(chowcurve, "multiply_classes", off_by_one)
+        bundle = ProjBundleModel(BaseCurve(0), 4, 4)
+        with pytest.raises(ValueError) as before:
+            sectional_genus_reference(bundle, 2 * H, H)
+        with pytest.raises(ValueError) as now:
+            sectional_genus_divisor(bundle, 2 * H, H)
+        assert str(now.value) == str(before.value) == "odd adjoint number 5: not of the form 2g - 2"
+
     def test_quadric_member_degree8(self):
         bundle = ProjBundleModel(BaseCurve(0), 4, 4)
         assert sectional_genus_divisor(bundle, 2 * H, H) == 3
@@ -370,7 +429,44 @@ class TestBaseLocus:
         assert base_locus_index_set(SplittingType((0, 0, 0, 0)), 4) == ()
 
 
+def corank1_reference(splitting, b):
+    """``corank1_emptiness`` as it was: every removed index tried in turn."""
+    for i in range(len(splitting)):
+        if chowcurve.h0_sym2_twist(splitting[:i] + splitting[i + 1 :], b) == 0:
+            return i
+    return None
+
+
 class TestCorank1:
+    def test_matches_every_index_loop_on_every_rule_reaching_tuple(self, monkeypatch):
+        # h^0 is a pure function; both loops read one memo of it
+        monkeypatch.setattr(chowcurve, "h0_sym2_twist", functools.cache(h0_sym2_twist))
+        checked = 0
+        for d in range(1, 13):
+            for n in range(3, 15):
+                params = classify.quadric_params(0, n)
+                if params.s(d) < 0:
+                    continue
+                b = params.b(d)
+                for degrees in classify._generate_splittings(d, params.e(d), n):
+                    assert corank1_emptiness(degrees, b) == corank1_reference(degrees, b), (d, degrees)
+                    checked += 1
+        assert checked == 2580
+
+    def test_matches_every_index_loop_on_a_box(self, monkeypatch):
+        # 204,204 cases; n = 6 as well would make 534,820 and take about 7 s
+        box = [
+            degrees
+            for n in range(3, 6)
+            for degrees in combinations_with_replacement(range(-4, 7), n + 1)
+        ]
+        for b in range(-8, 9):
+            # h^0 is a pure function; both loops read one memo, fresh for each b
+            monkeypatch.setattr(chowcurve, "h0_sym2_twist", functools.cache(h0_sym2_twist))
+            got = [corank1_emptiness(degrees, b) for degrees in box]
+            assert got == [corank1_reference(degrees, b) for degrees in box], b
+        assert len(box) == 12012
+
     def test_excluded_with_witness(self):
         assert corank1_emptiness((1, 1, 1, 4), -3) == 3
 

@@ -599,6 +599,32 @@ class TestTruncationRule:
         assert (expected is not None) == fires
 
 
+class TestSharedTruncationTraces:
+    """One ``RuleResult`` per distinct violation, held by the rule instance."""
+
+    def test_a_new_rule_starts_with_no_traces(self):
+        used = TruncationPositivityRule()
+        assert used.check((-2, 0, 1, 2), d=5, b=3, s=14) is not None
+        assert used._traces
+        assert TruncationPositivityRule()._traces == {}
+
+    def test_traces_match_per_k_reference_within_one_chain(self):
+        shared, excluded = {}, 0
+        for d in range(1, 13):
+            candidates = enumerate_quadric_splittings(d, n_range=range(3, 15))
+            truncated = [c for c in candidates if c.rule and c.rule.rule == "truncation-positivity"]
+            excluded += len(truncated)
+            for c in truncated:
+                assert c.rule == per_k_truncation_reference(c.splitting, c.b), (d, c.splitting)
+            ids = {id(c.rule) for c in truncated}
+            assert len(ids) == len({c.rule for c in truncated})
+            # a trace is shared only by candidates of the same call
+            assert not ids & shared.keys()
+            shared.update((id(c.rule), c.rule) for c in truncated)
+        # 7 distinct traces by value, one record per violation in each call's chain
+        assert (excluded, len(shared), len(set(shared.values()))) == (2332, 13, 7)
+
+
 class TestDeepFibreDimension:
     @pytest.mark.parametrize("d, count", [(1, 3), (2, 2), (3, 3), (4, 2)])
     def test_generator_stays_iterative_at_n_1200(self, d, count):

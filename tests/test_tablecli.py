@@ -288,6 +288,27 @@ class TestVerify:
         ]
         assert all(v.note.startswith(prefix) for v in rejected)
 
+    @pytest.mark.parametrize(
+        "table, params, message",
+        [
+            (
+                "3.25",
+                {"d": "4", "splitting": [0, 0, 0, 0], "status": "x"},
+                "field 'd' must be an integer, got '4'",
+            ),
+            ("3.25", {"d": 4, "splitting": [0, 0, 0, 0]}, "missing field 'status'"),
+            ("5.7", {"Ln": 1}, "missing field 'r'"),
+        ],
+        ids=["3.25-string-degree", "3.25-no-status", "5.7-no-r"],
+    )
+    def test_caller_built_row_gets_the_loaders_schema_error(self, table, params, message):
+        # rows that never went through load_fixture are checked by verify itself
+        rows = bundled_rows(table)
+        bad = tablecli.ClassificationRow(table=table, key="caller-built", params=params)
+        with pytest.raises(FixtureError) as excinfo:
+            verify(table, rows + [bad])
+        assert str(excinfo.value) == f"row {len(rows)}: {message}"
+
     def test_2_3_whitelisted_discrepancy(self):
         report = verify("2.3", bundled_rows("2.3"))
         assert report.exit_status == 0
