@@ -342,6 +342,10 @@ def _check_2_3(index: int, raw: Mapping) -> None:
         _require(index, raw, "expect_discrepancy", lambda v: type(v) is bool, "true or false")
 
 
+# the rational base's degree window, widest at n = 3
+_RATIONAL_D_WINDOW = classify.quadric_params(0, 3).d_range
+
+
 def _check_3_25(index: int, raw: Mapping) -> None:
     """A 3.25 row's ascending splitting and status text; the degree lies in the
     rational-base window and the splitting sums to e."""
@@ -350,9 +354,10 @@ def _check_3_25(index: int, raw: Mapping) -> None:
         _is_splitting, "an integer array, ascending, with at least 4 entries",
     )
     _require(index, raw, "status", lambda v: isinstance(v, str), "a string")
-    window = classify.quadric_params(0, 3).d_range
+    window = _RATIONAL_D_WINDOW
     _require(index, raw, "d", window.__contains__, f"in [{window[0]}, {window[-1]}]")
-    e = classify.quadric_params(0, len(raw["splitting"]) - 1).e(raw["d"])
+    # _is_splitting has checked n >= 3, so the parameters need no validation
+    e = classify.QuadricParams(0, len(raw["splitting"]) - 1).e(raw["d"])
     _require(index, raw, "splitting", lambda v: sum(v) == e, f"an array summing to e = {e}")
 
 
@@ -436,15 +441,16 @@ def naive_reduce(rank: int, c1: int, terms: Sequence[tuple[int, int, int]]) -> d
     return {key: c for key, c in out.items() if c != 0}
 
 
-def naive_product(
-    rank: int, c1: int, factors: Sequence[tuple[int, int]]
-) -> dict[tuple[int, int], int]:
-    """Fully expand a product of h*H + f*F factors in Z[H, F], then reduce once.
+def naive_expand(
+    factors: Sequence[tuple[int, int]], start: Sequence[int] = (1,)
+) -> Sequence[int]:
+    """Fully expand a product of h*H + f*F factors in Z[H, F], continuing ``start``.
 
-    ``coeffs[j]`` is the coefficient of H^(k-j)*F^j after k factors.  Every F^j is
-    kept; no ring relation is applied before ``naive_reduce`` sees the k + 1 terms.
+    ``start[j]`` is the coefficient of H^(k-j)*F^j in an earlier product of k
+    factors, ``(1,)`` being the empty product, and so is ``[j]`` of the result
+    after ``len(factors)`` more.  Every F^j is kept: no ring relation is applied.
     """
-    coeffs = [1]
+    coeffs = start
     for h, f in factors:
         expanded, below = [], 0
         for a in coeffs:
@@ -452,11 +458,26 @@ def naive_product(
             below = a
         expanded.append(f * below)
         coeffs = expanded
-    return naive_reduce(rank, c1, [(len(coeffs) - 1 - j, j, c) for j, c in enumerate(coeffs)])
+    return coeffs
 
 
-def naive_top_degree(rank: int, c1: int, factors: Sequence[tuple[int, int]]) -> int:
-    return naive_product(rank, c1, factors).get((rank - 1, 1), 0)
+def naive_product(
+    rank: int, c1: int, factors: Sequence[tuple[int, int]], start: Sequence[int] = (1,)
+) -> dict[tuple[int, int], int]:
+    """Expand ``start`` times a product of h*H + f*F factors, then reduce once.
+
+    ``start`` is a ``naive_expand`` coefficient list; no ring relation is
+    applied before ``naive_reduce`` sees the k + 1 terms of the whole product.
+    """
+    coeffs = naive_expand(factors, start)
+    k = len(coeffs) - 1
+    return naive_reduce(rank, c1, [(k - j, j, c) for j, c in enumerate(coeffs)])
+
+
+def naive_top_degree(
+    rank: int, c1: int, factors: Sequence[tuple[int, int]], start: Sequence[int] = (1,)
+) -> int:
+    return naive_product(rank, c1, factors, start).get((rank - 1, 1), 0)
 
 
 class IdentityCounterexample(namedtuple("IdentityCounterexample", "n d g_C lhs rhs")):
@@ -539,16 +560,18 @@ def oracle_selftest() -> SelfTestReport:
     every genus-3 grid point; the (n-1)-variant must hold everywhere and
     the (n+1)-variant must fail (the first counterexample is reported).
 
-    The oracle's degree product H^(rank-1)·(2H + bF) reads only rank, c1 and
-    b, so it is expanded once, in the g(C) = 0 pass, and the g(C) = 1 and 2
-    passes read it back from a dict local to this call.  This does not fold
-    the oracle into the ring: the shared value is the oracle's own output,
-    never a ring value, and every grid point still runs the ring route
-    (closed forms, both products, the adjoint class) on its own bundle.  The
-    oracle's adjoint product, whose input depends on g(C), is expanded at
-    every point.  What is the same at every point is built once: the 13
-    twists' member classes, and per bundle the adjoint's H-coefficient; the
-    deviation is only worked out at a point where a comparison fails.
+    What does not depend on g(C) is built once per (rank, b), before the
+    g(C) loop: the oracle's tail H^(rank-2)·(2H + bF), expanded in Z[H, F]
+    by ``naive_expand``, and the ring's two factor lists.  Each oracle
+    product continues from that tail: the degree with one more H, the
+    adjoint number with one more K + (2H + bF) + (rank-2)·H.  The tail is the
+    oracle's own partial expansion, reduced by ``naive_reduce`` only once the
+    product is whole; no ring value is shared, and every grid point still
+    runs the ring route (closed forms, both products, the adjoint class) on
+    its own bundle.  The oracle's degree reads only rank, c1 and b, so it is
+    computed in the g(C) = 0 pass and read back at g(C) = 1 and 2 from a
+    dict local to this call.  The deviation is only worked out at a point
+    where a comparison fails.
     """
     grid_points = grid_mismatches = max_deviation = 0
     veronese_points = veronese_mismatches = 0
@@ -556,35 +579,35 @@ def oracle_selftest() -> SelfTestReport:
     counterexamples: list[IdentityCounterexample] = []
     naive_degrees: dict[tuple[int, int, int], int] = {}  # (rank, c1, b) -> oracle degree
 
-    members = [(b, (2, b), DivisorClass(2, b)) for b in range(-6, 7)]
+    # rank -> per b: (b, oracle tail, ring degree factors, ring adjoint tail)
+    rows: dict[int, list[tuple]] = {}
+    for rank in range(3, 8):
+        rows[rank] = []
+        for b in range(-6, 7):
+            ring_tail = [DivisorClass(1, 0)] * (rank - 2) + [DivisorClass(2, b)]
+            oracle_tail = naive_expand([(1, 0)] * (rank - 2) + [(2, b)])
+            rows[rank].append((b, oracle_tail, [DivisorClass(1, 0), *ring_tail], ring_tail))
     for g_c in (0, 1, 2):
         for rank in range(3, 8):
-            # the H-power runs depend only on the rank
-            h_run = [(1, 0)] * (rank - 2)
-            h_cls_run = [DivisorClass(1, 0)] * (rank - 2)
-            degree_run = [(1, 0), *h_run]
-            degree_cls_run = [DivisorClass(1, 0), *h_cls_run]
             for e in range(-6, 7):
                 bundle = ProjBundleModel(BaseCurve(g_c), rank, e)
                 k_h, k_f = canonical_class(bundle)
                 # K + member + (rank - 2)*H: only its F-coefficient depends on b
                 adjoint_h = k_h + 2 + (rank - 2)
-                for b, member, member_cls in members:
+                for b, oracle_tail, ring_degree, ring_tail in rows[rank]:
                     grid_points += 1
                     d, g, s = quadric_invariants(bundle, b)
                     if g_c == 0:
                         d_naive = naive_degrees[rank, e, b] = naive_top_degree(
-                            rank, e, [*degree_run, member]
+                            rank, e, [(1, 0)], oracle_tail
                         )
                     else:
                         d_naive = naive_degrees[rank, e, b]
-                    g2_naive = naive_top_degree(rank, e, [(adjoint_h, k_f + b), *h_run, member])
-                    d_ring = top_degree(
-                        bundle, multiply_classes(bundle, [*degree_cls_run, member_cls])
-                    )
+                    g2_naive = naive_top_degree(rank, e, [(adjoint_h, k_f + b)], oracle_tail)
+                    d_ring = top_degree(bundle, multiply_classes(bundle, ring_degree))
                     adjoint_cls = DivisorClass(adjoint_h, k_f + b)
                     g2_ring = top_degree(
-                        bundle, multiply_classes(bundle, [adjoint_cls, *h_cls_run, member_cls])
+                        bundle, multiply_classes(bundle, [adjoint_cls, *ring_tail])
                     )
                     g2 = 2 * g - 2
                     if d != d_naive or g2 != g2_naive or d != d_ring or g2 != g2_ring:

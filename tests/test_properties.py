@@ -27,7 +27,7 @@ from genus3.surflat import (
     pair,
     sectional_genus_surface,
 )
-from genus3.tablecli import naive_product, naive_reduce, naive_top_degree
+from genus3.tablecli import naive_expand, naive_product, naive_reduce, naive_top_degree
 
 bundles = st.builds(
     ProjBundleModel,
@@ -95,6 +95,17 @@ def test_naive_product_matches_term_list_expansion(rank, c1, factors):
     assert naive_product(rank, c1, factors) == term_list_product(rank, c1, factors)
 
 
+@given(
+    st.integers(2, 8),
+    st.integers(-6, 6),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=7),
+)
+def test_naive_product_continues_an_earlier_expansion(rank, c1, factors):
+    whole = naive_product(rank, c1, factors)
+    for cut in range(len(factors) + 1):
+        assert naive_product(rank, c1, factors[cut:], naive_expand(factors[:cut])) == whole
+
+
 def _code_names(code):
     """Global and attribute names a code object uses, nested comprehensions included."""
     names = set(code.co_names)
@@ -112,7 +123,7 @@ def test_naive_oracle_names_nothing_from_the_ring():
         for name, obj in vars(chowcurve).items()
         if getattr(obj, "__module__", None) == chowcurve.__name__
     }
-    for fn in (naive_reduce, naive_product, naive_top_degree):
+    for fn in (naive_expand, naive_reduce, naive_product, naive_top_degree):
         assert ring.isdisjoint(_code_names(fn.__code__)), fn.__name__
 
 

@@ -408,12 +408,34 @@ class TestSelfTest:
     def test_broken_oracle_is_caught(self, monkeypatch):
         real = tablecli.naive_top_degree
 
-        def off_by_one(rank, c1, factors):
-            return real(rank, c1, factors) + (1 if rank == 7 else 0)
+        def off_by_one(rank, c1, *rest):
+            return real(rank, c1, *rest) + (rank == 7)
 
         monkeypatch.setattr(tablecli, "naive_top_degree", off_by_one)
         report = oracle_selftest()
         # every grid point with rank 7: 3 base genera x 13 c1 x 13 twists
+        assert report.grid_mismatches == 507
+        assert report.max_deviation == 1
+        assert report.passed is False
+
+    def test_broken_shared_tail_is_caught(self, monkeypatch):
+        # the oracle's tail H^(rank-2)*(2H + bF) is expanded once per (rank, b)
+        # and continued at every point; a wrong tail must show as mismatches
+        real = tablecli.naive_expand
+        corrupted = []
+
+        def off_by_one(factors, *rest):
+            coeffs = list(real(factors, *rest))
+            if len(factors) == 6:  # the rank-7 tail: five factors H, then 2H + bF
+                coeffs[1] += 1
+                corrupted.append(coeffs)
+            return coeffs
+
+        monkeypatch.setattr(tablecli, "naive_expand", off_by_one)
+        report = oracle_selftest()
+        # one tail per twist, and no other expansion of six factors
+        assert len(corrupted) == 13
+        # the oracle's degree at every grid point with rank 7: 3 base genera x 13 c1 x 13 twists
         assert report.grid_mismatches == 507
         assert report.max_deviation == 1
         assert report.passed is False
