@@ -429,15 +429,25 @@ def verify(table: str, rows: Sequence[ClassificationRow]) -> VerificationReport:
 # brute-force ring oracle and self-test
 
 
-def naive_reduce(rank: int, c1: int, terms: Sequence[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
-    """Exhaustively rewrite a term list under F^2 = 0 and H^rank = c1*H^(rank-1)*F."""
+def naive_reduce(
+    rank: int, c1: int, terms: Iterable[tuple[int, int, int]]
+) -> dict[tuple[int, int], int]:
+    """Exhaustively rewrite terms (i, j, c) = c*H^i*F^j under F^2 = 0 and H^rank = c1*H^(rank-1)*F.
+
+    ``terms`` may be any iterable.  Only nonzero coefficients are kept; the
+    filtering pass runs only when some bucket summed to zero.
+    """
     out: dict[tuple[int, int], int] = {}
+    cancelled = False
     for i, j, c in terms:
         while i >= rank:
             i, j, c = i - 1, j + 1, c * c1
         if j >= 2 or c == 0:
             continue
-        out[(i, j)] = out.get((i, j), 0) + c
+        total = out[(i, j)] = out.get((i, j), 0) + c
+        cancelled = cancelled or total == 0
+    if not cancelled:
+        return out
     return {key: c for key, c in out.items() if c != 0}
 
 
@@ -467,16 +477,23 @@ def naive_product(
     """Expand ``start`` times a product of h*H + f*F factors, then reduce once.
 
     ``start`` is a ``naive_expand`` coefficient list; no ring relation is
-    applied before ``naive_reduce`` sees the k + 1 terms of the whole product.
+    applied before ``naive_reduce`` sees the k + 1 terms of the whole product,
+    which are handed to it lazily as (k - j, j, coefficient).
     """
     coeffs = naive_expand(factors, start)
     k = len(coeffs) - 1
-    return naive_reduce(rank, c1, [(k - j, j, c) for j, c in enumerate(coeffs)])
+    return naive_reduce(rank, c1, zip(range(k, -1, -1), range(k + 1), coeffs))
 
 
 def naive_top_degree(
     rank: int, c1: int, factors: Sequence[tuple[int, int]], start: Sequence[int] = (1,)
 ) -> int:
+    """The H^(rank-1)*F coefficient of ``naive_product``: the degree on P(E).
+
+    Like the expansion and the reduction, it is linear in each factor, so
+    with a leading factor (h, f) it equals h times its value with (1, 0)
+    plus f times its value with (0, 1), for any ``start``.
+    """
     return naive_product(rank, c1, factors, start).get((rank - 1, 1), 0)
 
 
@@ -562,22 +579,29 @@ def oracle_selftest() -> SelfTestReport:
 
     What does not depend on g(C) is built once per (rank, b), before the
     g(C) loop: the oracle's tail H^(rank-2)·(2H + bF), expanded in Z[H, F]
-    by ``naive_expand``, and the ring's two factor lists.  Each oracle
-    product continues from that tail: the degree with one more H, the
-    adjoint number with one more K + (2H + bF) + (rank-2)·H.  The tail is the
-    oracle's own partial expansion, reduced by ``naive_reduce`` only once the
-    product is whole; no ring value is shared, and every grid point still
-    runs the ring route (closed forms, both products, the adjoint class) on
-    its own bundle.  The oracle's degree reads only rank, c1 and b, so it is
-    computed in the g(C) = 0 pass and read back at g(C) = 1 and 2 from a
-    dict local to this call.  The deviation is only worked out at a point
-    where a comparison fails.
+    by ``naive_expand``, and the ring's two factor lists.  The oracle runs
+    two products per (rank, c1, b), each continuing from that tail with one
+    more factor and reduced by ``naive_reduce`` only once it is whole:
+    X_H = H·tail, the degree, and X_F = F·tail.  A naive product is linear
+    in its leading factor, so the oracle's adjoint number, the product with
+    one more K + (2H + bF) + (rank-2)·H = adjoint_h·H + (k_f + b)·F, is read
+    as adjoint_h·X_H + (k_f + b)·X_F.  Both products read only rank, c1 and
+    b, so they are computed in the g(C) = 0 pass and read back at g(C) = 1
+    and 2 from a dict local to this call.  On this grid adjoint_h is 0
+    (K = -rank·H + k_f·F), so the adjoint comparison reads only X_F.  A
+    leading factor with a nonzero H part is compared, ring against oracle,
+    by ``test_ring_matches_oracle_on_self_test_products_with_an_h_part`` in
+    tests/test_properties.py.  No ring value is shared, and every grid
+    point still runs the ring route (closed forms, both products, the
+    adjoint class) on its own bundle.  The deviation is only worked out at
+    a point where a comparison fails.
     """
     grid_points = grid_mismatches = max_deviation = 0
     veronese_points = veronese_mismatches = 0
     identity_points = identity_failures = 0
     counterexamples: list[IdentityCounterexample] = []
-    naive_degrees: dict[tuple[int, int, int], int] = {}  # (rank, c1, b) -> oracle degree
+    # (rank, c1, b) -> the oracle's X_H = H*tail (its degree) and X_F = F*tail
+    naive_numbers: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     # rank -> per b: (b, oracle tail, ring degree factors, ring adjoint tail)
     rows: dict[int, list[tuple]] = {}
@@ -598,12 +622,13 @@ def oracle_selftest() -> SelfTestReport:
                     grid_points += 1
                     d, g, s = quadric_invariants(bundle, b)
                     if g_c == 0:
-                        d_naive = naive_degrees[rank, e, b] = naive_top_degree(
-                            rank, e, [(1, 0)], oracle_tail
+                        d_naive, x_f = naive_numbers[rank, e, b] = (
+                            naive_top_degree(rank, e, [(1, 0)], oracle_tail),
+                            naive_top_degree(rank, e, [(0, 1)], oracle_tail),
                         )
                     else:
-                        d_naive = naive_degrees[rank, e, b]
-                    g2_naive = naive_top_degree(rank, e, [(adjoint_h, k_f + b)], oracle_tail)
+                        d_naive, x_f = naive_numbers[rank, e, b]
+                    g2_naive = adjoint_h * d_naive + (k_f + b) * x_f
                     d_ring = top_degree(bundle, multiply_classes(bundle, ring_degree))
                     adjoint_cls = DivisorClass(adjoint_h, k_f + b)
                     g2_ring = top_degree(

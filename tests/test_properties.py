@@ -98,12 +98,63 @@ def test_naive_product_matches_term_list_expansion(rank, c1, factors):
 @given(
     st.integers(2, 8),
     st.integers(-6, 6),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2), st.integers(-2, 2)), max_size=12),
+)
+def test_naive_reduce_keeps_only_nonzero_coefficients(rank, c1, terms):
+    # terms may come as any iterable, and a bucket that cancels is dropped
+    reduced = naive_reduce(rank, c1, iter(terms))
+    assert reduced == naive_reduce(rank, c1, terms)
+    assert 0 not in reduced.values()
+    assert naive_reduce(rank, c1, [*terms, (0, 0, 1), (0, 0, -1)]) == reduced
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(-6, 6),
     st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=7),
 )
 def test_naive_product_continues_an_earlier_expansion(rank, c1, factors):
     whole = naive_product(rank, c1, factors)
     for cut in range(len(factors) + 1):
         assert naive_product(rank, c1, factors[cut:], naive_expand(factors[:cut])) == whole
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(-6, 6),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=7),
+    st.integers(-5, 5).filter(bool),
+    st.integers(-5, 5).filter(bool),
+)
+def test_naive_product_is_linear_in_its_leading_factor(rank, c1, factors, h, f):
+    # the self-test reads its oracle adjoint number as h*X_H + f*X_F
+    start = naive_expand(factors)
+    x_h = naive_top_degree(rank, c1, [(1, 0)], start)
+    x_f = naive_top_degree(rank, c1, [(0, 1)], start)
+    assert naive_top_degree(rank, c1, [(h, f)], start) == h * x_h + f * x_f
+    # and so is every coefficient of the reduced product, not only the top one
+    whole = naive_product(rank, c1, [(h, f)], start)
+    by_h = naive_product(rank, c1, [(1, 0)], start)
+    by_f = naive_product(rank, c1, [(0, 1)], start)
+    for key in whole.keys() | by_h.keys() | by_f.keys():
+        assert whole.get(key, 0) == h * by_h.get(key, 0) + f * by_f.get(key, 0)
+
+
+def test_ring_matches_oracle_on_self_test_products_with_an_h_part():
+    # the self-test's product shape [DivisorClass(h, f), *H^(rank-2), DivisorClass(2, b)];
+    # its grid's adjoint factor has h = 0, so a nonzero H part is compared here
+    for rank in range(3, 8):
+        for c1 in range(-6, 7):
+            bundle = ProjBundleModel(BaseCurve(0), rank, c1)
+            for b in range(-6, 7):
+                tail = [(1, 0)] * (rank - 2) + [(2, b)]
+                ring_tail = [DivisorClass(h, f) for h, f in tail]
+                start = naive_expand(tail)
+                for h in (-2, -1, 1, 2):
+                    for f in range(-2, 3):
+                        product = multiply_classes(bundle, [DivisorClass(h, f), *ring_tail])
+                        oracle = naive_top_degree(rank, c1, [(h, f)], start)
+                        assert top_degree(bundle, product) == oracle, (rank, c1, b, h, f)
 
 
 def _code_names(code):

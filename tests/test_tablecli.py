@@ -413,9 +413,25 @@ class TestSelfTest:
 
         monkeypatch.setattr(tablecli, "naive_top_degree", off_by_one)
         report = oracle_selftest()
-        # every grid point with rank 7: 3 base genera x 13 c1 x 13 twists
+        # every grid point with rank 7: 3 base genera x 13 c1 x 13 twists; the
+        # adjoint number adjoint_h*X_H + (k_f + b)*X_F is then off by |k_f + b| <= 14
         assert report.grid_mismatches == 507
-        assert report.max_deviation == 1
+        assert report.max_deviation == 14
+        assert report.passed is False
+
+    def test_broken_f_product_is_caught(self, monkeypatch):
+        # the oracle's adjoint number is read linearly from X_H = H*tail and
+        # X_F = F*tail; a wrong X_F must show wherever its coefficient is nonzero
+        real = tablecli.naive_top_degree
+
+        def off_by_one(rank, c1, factors, *rest):
+            return real(rank, c1, factors, *rest) + (factors == [(0, 1)])
+
+        monkeypatch.setattr(tablecli, "naive_top_degree", off_by_one)
+        report = oracle_selftest()
+        # every grid point with k_f + b != 0: 175 of the 2,535 have k_f + b = 0
+        assert report.grid_mismatches == 2360
+        assert report.max_deviation == 14
         assert report.passed is False
 
     def test_broken_shared_tail_is_caught(self, monkeypatch):
@@ -458,9 +474,9 @@ class TestSelfTest:
         assert report.passed is False
 
     def test_every_route_runs_its_pinned_number_of_times(self, monkeypatch):
-        # every grid point runs the ring route on its own bundle; only the
-        # oracle's degree product, a function of (rank, c1, b), is expanded
-        # once for all three base genera
+        # every grid point runs the ring route on its own bundle; the oracle's
+        # two products H*tail and F*tail, functions of (rank, c1, b), are
+        # expanded once for all three base genera
         calls = dict.fromkeys(
             ("multiply_classes", "quadric_invariants", "veronese_invariants", "naive_top_degree"), 0
         )
@@ -481,7 +497,7 @@ class TestSelfTest:
             "multiply_classes": 5070,
             "quadric_invariants": 2535,
             "veronese_invariants": 507,
-            "naive_top_degree": 3380,
+            "naive_top_degree": 1690,
         }
 
     def test_variant_identity_counterexample(self):
