@@ -365,110 +365,164 @@ class Candidate(
         return "admitted" if self.rule is None else "excluded"
 
 
-def _ascending_sums(
-    length: int, total: int, lo: int, first_hi: int, hi: int, top_hi: int, pair_max: int
-) -> list[tuple[int, ...]]:
-    """Nondecreasing integer tuples with a fixed sum, in lexicographic order.
+def _bounded_partitions(total: int, parts: int, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Nondecreasing tuples of ``parts`` integers in [lo, hi] summing to ``total``.
 
-    Every entry is at least ``lo``; the first is at most ``first_hi``,
-    the others below the top at most ``hi``, the top at most ``top_hi``,
-    and the top two sum to at most ``pair_max``.  Needs length >= 3 and
-    2 * hi <= pair_max: then only the top can break the pair bound, and
-    counting the top pair's room as min(pair_max, hi + top_hi) enforces it.
-
-    The walk keeps an explicit stack of frames, each a plain
-    (position, next value, last value) tuple for a range that still has
-    values to try.  Taking a value pushes its range's frame only if a
-    later value is left, so a range's last value is taken with its frame
-    already popped, and a range of one value pushes nothing.  Each range
-    starts where the later entries can still hold what is left.  Once
-    the entries are at v, only the last (excess over v) positions can
-    rise above v, so the positions before them are set to v in one step
-    instead of one stack level each; the walk then descends by setting
-    the position, value and last value in place.  The top pair is filled
-    in a closed loop: with R left to place it is (x, R - x).
+    The tuples come in lexicographic order.  The walk keeps an explicit
+    stack of (prefix, sum left, entries left, least next entry) frames, so
+    a long tuple costs no recursion depth.  Each entry's range holds exactly
+    the values the later entries can complete, so no frame is a dead end.
     """
-    m = length - 1  # index of the top entry
-    pair_room = min(pair_max, hi + top_hi)
-    prefix = [0] * (m - 1)  # entries 0 .. m-2
-    left = [0] * (m - 1)  # left[p]: sum still to place from position p on
-    left[0] = total
     out = []
-    frames = []
-    i, v, up = 0, max(lo, total - (m - 2) * hi - pair_room), min(first_hi, hi, total // length)
-    if v > up:
-        return out
-    # bounds are clamped with comparisons: max()/min() calls cost a third of this loop
-    while True:
-        if v < up:
-            frames.append((i, v + 1, up))
-        rest = left[i] - v
-        # later entries below the top equal v up to position j
-        if v == hi:
-            j = m - 1
-        else:
-            j = m - (rest - (m - i) * v)
-            if j < i:
-                j = i
-        if j < m - 2:
-            prefix[i : j + 1] = [v] * (j + 1 - i)
-            rest -= (j - i) * v
-            i = j + 1
-            left[i] = rest
-            low = rest - (m - 2 - i) * hi - pair_room
-            if low > v:
-                v = low
-            up = rest // (m + 1 - i)
-            if up > hi:
-                up = hi
-            if v <= up:
-                continue
-        else:
-            prefix[i:] = [v] * (m - 1 - i)
-            rest -= (m - 2 - i) * v
-            head = tuple(prefix)
-            x, up = rest - top_hi, rest // 2
-            if x < v:
-                x = v
-            if up > hi:
-                up = hi
-            while x <= up:
-                out.append(head + (x, rest - x))
-                x += 1
-        if not frames:
-            return out
-        i, v, up = frames.pop()
+    stack = [((), total, parts, lo)]
+    while stack:
+        prefix, rest, left, v = stack.pop()
+        if not left:
+            if not rest:
+                out.append(prefix)
+            continue
+        low = rest - (left - 1) * hi
+        if low < v:
+            low = v
+        up = rest // left
+        if up > hi:
+            up = hi
+        # pushed from the top down, so the least value is walked first
+        for w in range(up, low - 1, -1):
+            stack.append((prefix + (w,), rest - w, left - 1, w))
+    return out
 
 
-def _generate_splittings(d: int, e: int, n: int) -> list[tuple[int, ...]]:
-    """Ascending candidate tuples of length n+1 summing to e, in sorted order.
+def _tails(slots: int, cap2: int, most: int) -> dict[int, list[tuple[int, ...]]]:
+    """Positive nondecreasing tuples whose top two sum to at most ``cap2``, keyed by sum.
 
-    Two disjoint regimes cover everything that any rule chain containing
-    truncation positivity can admit:
+    Every tuple has at most ``slots`` entries and sums to at most ``most``;
+    a lone entry is at most ``cap2``, and the empty tuple sums to 0.  Each
+    list is sorted by length, then lexicographically: the walk builds the
+    entries below the top one length at a time, each length's in
+    lexicographic order, and puts every top it allows on each.
+    """
+    half = cap2 // 2
+    by_sum: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    level = [((), 0)]  # (entries below the top, their sum)
+    for _ in range(slots):
+        below = []
+        for body, total in level:
+            least = body[-1] if body else 1
+            top = cap2 - least if body else cap2
+            if top > most - total:
+                top = most - total
+            for x in range(least, top + 1):
+                by_sum.setdefault(total + x, []).append(body + (x,))
+            # one more entry w below a top x >= w with w + x <= cap2
+            for w in range(least, min(half, (most - total) // 2) + 1):
+                below.append((body + (w,), total + w))
+        level = below
+    return by_sum
 
-      * e_0 <= 0: the codimension-2 truncation caps the top pair at
-        floor((d-1)/2), which bounds every entry above and e_0 below;
+
+def _generate_splittings(d: int, e: int, dims: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
+    """Ascending candidate tuples of length n+1 summing to e, sorted, for each n in ``dims``.
+
+    ``dims`` holds distinct fibre dimensions n >= 3.  With cap2 =
+    floor((d-1)/2), two disjoint regimes cover everything that any rule
+    chain containing truncation positivity can admit:
+
+      * e_0 <= 0: the codimension-2 truncation caps the top pair at cap2,
+        so every entry below the top is at most cap2 // 2; every entry is
+        at least e - (n-1)*cap2 and the top at most n*cap2 - e;
       * e_0 >= 1: every entry lies in [1, e - n].
 
     Tuples outside these bounds are excluded wholesale by the truncation
     rule, so omitting them keeps the enumeration finite without losing
     any admissible candidate.  Every tuple of the first regime sorts
-    before every tuple of the second and neither repeats a tuple, so the
-    result is sorted and duplicate-free.
+    before every tuple of the second and neither repeats a tuple, so each
+    list is sorted and duplicate-free.
+
+    A first-regime tuple is a pattern padded with zeros: a head of
+    negative entries, then the zeros, then a tail of positive ones (a
+    tuple without negatives keeps one 0 as its head).  Two patterns sort
+    the same way at every length that holds both: of two heads where one
+    extends the other, the longer sorts first; then fewer positives sort
+    first; then the tails decide.  So the patterns are built once, for
+    the largest n, in that order, and each n pads the ones that fit in
+    n + 1 entries.  Padding keeps every bound.  A tail's top pair sums
+    to at most cap2 and a lone tail entry is at most cap2, so whatever
+    precedes the tail, a 0 or a negative, keeps the top pair within cap2
+    and the top at most cap2, below n*cap2 - e.  The lower bound never
+    binds: a head of a entries starting at f leaves its tail at least
+    e - f + a - 1, and s tail slots carry at most cap2 + max(s - 2, 0) *
+    (cap2 // 2), which puts f at or above e - (n-1)*cap2.  So every
+    tuple at n pads, with one more 0 in its sorted place, to a tuple at
+    n + 1, except for the exact patterns, which hold no 0 and fit one
+    length only:
+
+      * a lone top x > cap2 paired with the last negative, which needs
+        cap2 - e >= n - 1 and so occurs only at d <= 3 and n <= 4;
+      * the second regime.
+
+    Heads come from an explicit-stack walk that drops a head leaving its
+    tail more than the slots after it can carry; the walk is reversed at
+    the end, so that each head follows every head extending it.  Tails
+    come from one ``_tails`` call.  Nothing outlives the call.
     """
-    length = n + 1
     cap2 = (d - 1) // 2
     if cap2 < 0:
         raise UnboundedEnumerationError(f"no finite bounds for d = {d}")
-    lo = e - (n - 1) * cap2
-    hi = n * cap2 - e
-    # e_0 <= 0 regime: every entry below the top is at most half the pair cap
-    splittings = _ascending_sums(length, e, lo, 0, min(hi, cap2 // 2), hi, cap2)
-    # e_0 >= 1 regime
-    if e - n >= 1:
-        top = e - n
-        splittings += _ascending_sums(length, e, 1, top, top, top, 2 * top)
-    return splittings
+    half = cap2 // 2
+    width = max(dims) + 1
+
+    # heads as (head, sum), each walked before its extensions, and these
+    # from a last entry of -1 down: reversed, that is the patterns' order.
+    # The empty head stands as (0,), since a tuple without negatives needs a 0
+    heads = []
+    stack = [((), 0)]
+    while stack:
+        head, head_sum = stack.pop()
+        heads.append((head or (0,), head_sum))
+        slots = width - len(head) - 1  # tail slots once one more entry is taken
+        if slots < 0:
+            continue
+        # one more entry v leaves the tail e - head_sum - v, at most what it can carry
+        low = e - head_sum - (cap2 + max(slots - 2, 0) * half if slots else 0)
+        if head and low < head[-1]:
+            low = head[-1]
+        for v in range(low, 0):
+            stack.append((head + (v,), head_sum + v))
+    heads.reverse()
+
+    # patterns (head, entries in head and tail, tail), sorted
+    tails = _tails(width - 1, cap2, e - min(head_sum for _, head_sum in heads))
+    patterns = []
+    for head, head_sum in heads:
+        size = len(head)
+        patterns += [
+            (head, size + len(t), t) for t in tails.get(e - head_sum, ()) if size + len(t) <= width
+        ]
+
+    sizes = {size for _, size, _ in patterns}
+    result = {}
+    live = patterns
+    for n in sorted(dims, reverse=True):
+        length = n + 1
+        if length < width:
+            # descending n: the live patterns only ever shrink
+            live = [pattern for pattern in live if pattern[1] <= length]
+        pads = [(0,) * (length - size) if size in sizes else () for size in range(length + 1)]
+        splittings = [head + pads[size] + tail for head, size, tail in live]
+        # exact: a lone top x > cap2 above n negatives, the last at most cap2 - x
+        exact = [
+            head + (x,)
+            for x in range(cap2 + 1, (n * cap2 - e) // (n - 1) + 1)
+            for head in _bounded_partitions(e - x, n, e - (n - 1) * cap2, cap2 - x)
+        ]
+        if exact:
+            splittings = sorted(splittings + exact)
+        # e_0 >= 1 regime
+        if e - n >= 1:
+            splittings += _bounded_partitions(e, length, 1, e - n)
+        result[n] = splittings
+    return result
 
 
 def _first_failure(
@@ -529,18 +583,18 @@ def enumerate_quadric_splittings(
     # each rule's check is bound once per call, not once per candidate
     checks = [rule.check for rule in rules]
     param_checks, splitting_checks = checks[:lead], checks[lead:]
+    # on a rational base e = d - 4 at every n, so one call serves every n
+    generated = _generate_splittings(d, params[0].e(d), dims)
     candidates = []
     for p in params:
-        n, e, b, s = p.n, p.e(d), p.b(d), p.s(d)
+        n, b, s = p.n, p.b(d), p.s(d)
         trace = _first_failure(param_checks, None, d, b, s)
         if trace is not None:
             # all five Candidate fields, built in C: no Python-level call per tuple
-            fields = zip(
-                _generate_splittings(d, e, n), repeat(d), repeat(trace), repeat(None), repeat(False)
-            )
+            fields = zip(generated[n], repeat(d), repeat(trace), repeat(None), repeat(False))
             candidates.extend(map(tuple.__new__, repeat(Candidate), fields))
             continue
-        for degrees in _generate_splittings(d, e, n):
+        for degrees in generated[n]:
             trace = _first_failure(splitting_checks, degrees, d, b, s)
             if trace is not None:
                 candidates.append(tuple.__new__(Candidate, (degrees, d, trace, None, False)))

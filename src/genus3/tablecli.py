@@ -576,6 +576,9 @@ def oracle_selftest() -> SelfTestReport:
     probes the two coefficient variants of the degree/defect relation at
     every genus-3 grid point; the (n-1)-variant must hold everywhere and
     the (n+1)-variant must fail (the first counterexample is reported).
+    The (n-1)-variant is an identity of the closed forms, (n-1)d + s +
+    4n·g(C) - 8n = 2n·(g - 3) at every point, which is why
+    ``corrected_identity_failures`` is 0 wherever g = 3.
 
     What does not depend on g(C) is built once per (rank, b), before the
     g(C) loop: the oracle's tail H^(rank-2)·(2H + bF), expanded in Z[H, F]

@@ -448,7 +448,7 @@ class TestCorank1:
                 if params.s(d) < 0:
                     continue
                 b = params.b(d)
-                for degrees in classify._generate_splittings(d, params.e(d), n):
+                for degrees in classify._generate_splittings(d, params.e(d), [n])[n]:
                     assert corank1_emptiness(degrees, b) == corank1_reference(degrees, b), (d, degrees)
                     checked += 1
         assert checked == 2580

@@ -282,7 +282,7 @@ def reference_enumeration(d, n_range, rules):
     rows = []
     for n in n_range:
         s = 2 * e + (n + 1) * b
-        for degrees in classify._generate_splittings(d, e, n):
+        for degrees in classify._generate_splittings(d, e, [n])[n]:
             splitting = SplittingType(degrees)
             trace = None
             for rule in rules:
@@ -358,50 +358,109 @@ def reference_ascending_sums(
     return out
 
 
+def reference_splittings(d, n):
+    """The reference walk over the two regimes of the _generate_splittings docstring."""
+    e, length, cap2 = d - 4, n + 1, (d - 1) // 2
+    lo, hi = e - (n - 1) * cap2, n * cap2 - e
+    tuples = reference_ascending_sums(length, e, lo, 0, min(hi, cap2 // 2), hi, cap2)
+    if e - n >= 1:
+        top = e - n
+        tuples += reference_ascending_sums(length, e, 1, top, top, top, 2 * top)
+    return tuples
+
+
+@pytest.fixture(scope="module")
+def reference_tuples():
+    """(d, n) -> the reference walk's tuples, for d = 1..12 and n = 3..22."""
+    return {(d, n): reference_splittings(d, n) for d in range(1, 13) for n in range(3, 23)}
+
+
 class TestGenerator:
     def test_generated_tuples_are_ascending_unique_and_sorted(self):
         for d in range(1, 13):
             for n in range(3, 15):
-                tuples = classify._generate_splittings(d, d - 4, n)
+                tuples = classify._generate_splittings(d, d - 4, [n])[n]
                 assert tuples == sorted(set(tuples)), (d, n)
                 assert all(len(t) == n + 1 and sum(t) == d - 4 for t in tuples)
                 assert all(list(t) == sorted(t) for t in tuples)
                 assert all(within_generator_bounds(t, d) for t in tuples)
 
-    def test_matches_reference_walk_exactly(self, monkeypatch):
+    def test_matches_reference_walk_exactly(self, reference_tuples):
         # the sweep's large regions sit at n = 11..14, with e_0 down to -23
         sweep_total = 0
         for d in range(1, 13):
+            generated = classify._generate_splittings(d, d - 4, range(3, 23))
             for n in range(3, 23):
-                tuples = classify._generate_splittings(d, d - 4, n)
+                tuples = generated[n]
                 # the rules read these tuples as they are, with no SplittingType check
                 assert all(
                     type(t) is tuple and {*map(type, t)} == {int} and list(t) == sorted(t)
                     for t in tuples
                 ), (d, n)
-                with monkeypatch.context() as patch:
-                    patch.setattr(classify, "_ascending_sums", reference_ascending_sums)
-                    assert tuples == classify._generate_splittings(d, d - 4, n), (d, n)
+                assert tuples == reference_tuples[d, n], (d, n)
                 if n <= 14:
                     sweep_total += len(tuples)
         assert sweep_total == 24203
 
-    def test_matches_reference_walk_on_random_bounds(self):
-        # bounds beyond the two regimes, where a descent can meet an empty range
+    @pytest.mark.parametrize(
+        "n_range", [[14], [9, 3, 12, 12], range(7, 23, 5)], ids=["single", "unsorted", "stride-5"]
+    )
+    def test_every_range_shape_matches_reference_walk(self, reference_tuples, n_range):
+        # the patterns are built for the largest n in the range and padded down to the others
+        for d in range(1, 13):
+            candidates = enumerate_quadric_splittings(d, n_range=n_range)
+            expected = [(n, t) for n in sorted(set(n_range)) for t in reference_tuples[d, n]]
+            assert [(c.n, c.splitting) for c in candidates] == expected, d
+
+    def test_matches_reference_walk_beyond_the_table_degrees(self):
+        for d in range(13, 25):
+            generated = classify._generate_splittings(d, d - 4, range(3, 8))
+            assert [generated[n] for n in range(3, 8)] == [
+                reference_splittings(d, n) for n in range(3, 8)
+            ], d
+
+    def test_only_exact_patterns_do_not_pad(self, reference_tuples):
+        # the docstring: a tuple at n pads, with one more 0 in its sorted place, to one at n + 1
+        unpadded = []
+        for d in range(1, 13):
+            for n in range(3, 22):
+                wider = set(reference_tuples[d, n + 1])
+                unpadded += [
+                    (d, n, t)
+                    for t in reference_tuples[d, n]
+                    if tuple(sorted(t + (0,))) not in wider
+                ]
+        assert unpadded == [
+            (1, 3, (-2, -1, -1, 1)),
+            (1, 4, (-1, -1, -1, -1, 1)),
+            (2, 3, (-1, -1, -1, 1)),
+            (3, 3, (-1, -1, -1, 2)),
+            (12, 3, (1, 1, 1, 5)),
+            (12, 3, (1, 1, 2, 4)),
+            (12, 3, (1, 1, 3, 3)),
+        ]
+
+    def test_bounded_partitions_match_brute_force_on_random_bounds(self):
+        # bounds beyond the generator's, where a range can be empty from the start
         rng = random.Random(0)
         for _ in range(2000):
-            length, hi = rng.randint(3, 9), rng.randint(-5, 6)
-            lo = rng.randint(-8, hi)
-            args = (
-                length,
-                rng.randint(length * lo - 2, length * hi + 5),  # total
-                lo,
-                rng.randint(lo - 1, hi + 1),  # first_hi
-                hi,
-                rng.randint(hi - 2, hi + 8),  # top_hi
-                2 * hi + rng.randint(0, 5),  # pair_max, at least 2 * hi
-            )
-            assert classify._ascending_sums(*args) == reference_ascending_sums(*args), args
+            parts, hi = rng.randint(0, 6), rng.randint(-5, 6)
+            lo = rng.randint(-8, hi + 1)
+            total = rng.randint(parts * min(lo, hi) - 2, parts * hi + 2)
+            args = (total, parts, lo, hi)
+            box = combinations_with_replacement(range(lo, hi + 1), parts)
+            expected = [t for t in box if sum(t) == total]
+            assert classify._bounded_partitions(*args) == expected, args
+
+    def test_tails_match_brute_force(self):
+        for cap2 in range(7):
+            for slots, most in ((0, 4), (1, 9), (5, 12)):
+                expected = {}
+                for length in range(slots + 1):
+                    for t in combinations_with_replacement(range(1, cap2 + 1), length):
+                        if sum(t) <= most and (length < 2 or t[-2] + t[-1] <= cap2):
+                            expected.setdefault(sum(t), []).append(t)
+                assert classify._tails(slots, cap2, most) == expected, (cap2, slots, most)
 
     def test_every_omitted_tuple_fails_truncation(self):
         # the docstring's claim: what the bounds leave out, truncation excludes
@@ -412,7 +471,7 @@ class TestGenerator:
                 by_sum.setdefault(sum(t), []).append(t)
             for d in range(1, 13):
                 e, b = d - 4, 8 - d
-                generated = set(classify._generate_splittings(d, e, n))
+                generated = set(classify._generate_splittings(d, e, [n])[n])
                 for t in by_sum[e]:
                     assert (t in generated) == within_generator_bounds(t, d), (d, t)
                     if t not in generated:
@@ -576,7 +635,7 @@ class TestTruncationRule:
                 e, b, s = params.e(d), params.b(d), params.s(d)
                 if s < 0:
                     continue
-                for degrees in classify._generate_splittings(d, e, n):
+                for degrees in classify._generate_splittings(d, e, [n])[n]:
                     expected = per_k_truncation_reference(degrees, b)
                     assert rule.check(SplittingType(degrees), d=d, b=b, s=s) == expected, (d, degrees)
                     checked += 1

@@ -203,6 +203,19 @@ def test_corrected_relation_at_genus_three(g_c, n, e, b):
         assert (n - 1) * inv.d + inv.s + 4 * n * g_c == 8 * n
 
 
+def test_corrected_relation_is_an_identity():
+    # (n-1)d + s + 4n g(C) - 8n = 2n (g - 3) everywhere, so the relation holds wherever g = 3
+    for rank in range(4, 8):
+        n = rank - 1
+        for g_c in range(6):
+            for e in range(-6, 7):
+                bundle = ProjBundleModel(BaseCurve(g_c), rank, e)
+                for b in range(-6, 7):
+                    d, g, s = quadric_invariants(bundle, b)
+                    lhs = (n - 1) * d + s + 4 * n * g_c - 8 * n
+                    assert lhs == 2 * n * (g - 3), (rank, g_c, e, b)
+
+
 @given(splittings, st.integers(-5, 5), st.integers(-2, 2))
 def test_h0_sym2_twist_monotone(splitting, t, bump):
     base = h0_sym2_twist(splitting, t)
