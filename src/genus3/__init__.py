@@ -7,9 +7,9 @@ Submodules:
   bundles over the projective line;
 * ``surflat`` - intersection lattices for the polarized surfaces that
   occur as scroll bases, with blow-up / weight-sequence arithmetic;
-* ``classify`` - the classification engines: structural branch map,
-  splitting-type enumeration with pruning rules, Veronese parameter
-  solver, reduction and Delta-genus bookkeeping;
+* ``classify`` - the classification engines: splitting-type enumeration
+  with pruning rules, Veronese parameter solver, reduction and
+  Delta-genus bookkeeping;
 * ``tablecli`` - table fixtures, verification reports, the brute-force
   ring oracle self-test, and the command-line interface.
 

@@ -1,9 +1,9 @@
 """Classification engines for polarized manifolds of sectional genus three.
 
-Four pieces: the structural branch map; the rule-based enumeration of
-splitting types for hyperquadric fibrations over the projective line; the
-Veronese-fibration parameter solver; and the reduction / Delta-genus
-bookkeeping for the remaining branches.
+Three pieces: the rule-based enumeration of splitting types for
+hyperquadric fibrations over the projective line; the Veronese-fibration
+parameter solver; and the reduction / Delta-genus bookkeeping for the
+remaining branches.
 
 The enumeration rules mix re-derived arithmetic (parameter consistency,
 truncation positivity, cohomological obstructions) with cited bounds that
@@ -22,51 +22,6 @@ from . import chowcurve
 
 class UnboundedEnumerationError(ValueError):
     """Raised when a rule set cannot bound the splitting enumeration."""
-
-
-class BranchRecord(namedtuple("BranchRecord", "id citation description")):
-    """One structural branch: its id, its citation and what it describes."""
-
-    __slots__ = ()
-    id: str
-    citation: str
-    description: str
-
-
-_BRANCHES = (
-    BranchRecord(
-        "scroll-over-genus3-curve",
-        "(1.3)",
-        "scroll over a smooth curve of genus three (K + (n-1)L not nef)",
-    ),
-    BranchRecord(
-        "simple-blowup",
-        "(1.5.1)",
-        "effective divisor E with (E, L_E) = (P^(n-1), O(1)) and [E]_E = O(-1)",
-    ),
-    BranchRecord(
-        "veronese-fibration",
-        "(1.5.2)",
-        "fibration over a smooth curve with every fibre (P^2, O(2))",
-    ),
-    BranchRecord(
-        "quadric-fibration",
-        "(1.5.3)",
-        "fibration over a smooth curve whose fibres are hyperquadrics with L = O(1)",
-    ),
-    BranchRecord("scroll-over-surface", "(1.5.4)", "scroll over a smooth surface"),
-    BranchRecord("nef-adjoint", "(1.5.5)", "K + (n-2)L is nef"),
-)
-
-
-def branch_map() -> list[BranchRecord]:
-    """The six structural branches for sectional genus three, n >= 3.
-
-    The split depends on genus-specific adjunction results: the Del
-    Pezzo-type sporadic cases only drop out because their genus differs
-    from three.
-    """
-    return list(_BRANCHES)
 
 
 class QuadricParams(namedtuple("QuadricParams", "g_C n")):
@@ -610,24 +565,6 @@ def admitted_splittings(candidates: Sequence[Candidate]) -> list[tuple[int, ...]
     return [c.splitting for c in candidates if c.status == "admitted"]
 
 
-def elliptic_ampleness_status(d: int) -> str:
-    """Ampleness of the defining bundle over an elliptic base, by degree.
-
-    d <= 2 forces c1 <= 0; d >= 5 is ample outright; in between, an
-    indecomposable bundle of positive degree on an elliptic curve is
-    ample, so decomposability is the only caveat.
-    """
-    chowcurve.require_ints("degree", (d,))
-    window = quadric_params(1, 3).d_range
-    if d not in window:
-        raise ValueError(f"elliptic-base degrees lie in [{window[0]}, {window[-1]}], got {d}")
-    if d <= 2:
-        return "not-ample"
-    if d <= 4:
-        return "ample-if-indecomposable"
-    return "ample"
-
-
 class VeroneseSolution(namedtuple("VeroneseSolution", "g_C e b d")):
     """One Veronese-fibration parameter solution (g(C), e, b, d)."""
 
@@ -674,30 +611,24 @@ class ReductionRecord(namedtuple("ReductionRecord", "general_type_tuples verones
     veronese_blowup_bound: int
 
 
-# (L^n, r, L'^n) for reductions landing in the nef-adjoint branch.  The
-# constraint system 2 <= L^n + r = L'^n <= 4 with L^n, r >= 1 also admits
-# (2, 1, 3); the classification list (5.7) omits it, and the list is what
-# is reproduced here.
-_GENERAL_TYPE_TUPLES: tuple[tuple[int, int, int], ...] = (
-    (1, 1, 2),
-    (1, 2, 3),
-    (1, 3, 4),
-    (2, 2, 4),
-    (3, 1, 4),
-)
+# The (L^n, r, L'^n) system 2 <= L^n + r = L'^n <= 4 with L^n, r >= 1 has six
+# solutions; the classification list (5.7) omits this one, and the paper
+# text at hand gives no reason for the omission.
+_OMITTED_5_7 = (2, 1, 3)
 
 
 def reduction_tuples() -> ReductionRecord:
     """Degree bookkeeping for iterated simple blow-downs.
 
     Returns the (L^n, r, L'^n) list for reductions whose minimal model has
-    nef adjoint, plus the bound r <= 3 when the minimal model is the
-    elliptic Veronese fibration (there 4 = L^3 + r with L^3 >= 1).
+    nef adjoint, solved from 2 <= L^n + r = L'^n <= 4 with L^n, r >= 1,
+    sorted and without ``_OMITTED_5_7``, plus the bound r <= 3 when the
+    minimal model is the elliptic Veronese fibration (there 4 = L^3 + r
+    with L^3 >= 1).
     """
-    for ln, r, lpn in _GENERAL_TYPE_TUPLES:
-        assert 2 <= lpn <= 4 and r >= 1 and ln == lpn - r and ln >= 1
+    solutions = sorted((ln, lpn - ln, lpn) for lpn in range(2, 5) for ln in range(1, lpn))
     return ReductionRecord(
-        general_type_tuples=_GENERAL_TYPE_TUPLES,
+        general_type_tuples=tuple(t for t in solutions if t != _OMITTED_5_7),
         veronese_blowup_bound=3,
     )
 

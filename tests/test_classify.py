@@ -15,11 +15,9 @@ from genus3.classify import (
     TruncationPositivityRule,
     UnboundedEnumerationError,
     admitted_splittings,
-    branch_map,
     default_rules,
     default_n_range,
     delta_bounds,
-    elliptic_ampleness_status,
     enumerate_quadric_splittings,
     quadric_params,
     reduction_tuples,
@@ -51,24 +49,6 @@ def exclusion(candidates, splitting):
     cand = by_split[splitting]
     assert cand.status == "excluded"
     return cand.rule
-
-
-class TestBranchMap:
-    def test_six_branches(self):
-        records = branch_map()
-        assert len(records) == 6
-        assert [r.id for r in records] == [
-            "scroll-over-genus3-curve",
-            "simple-blowup",
-            "veronese-fibration",
-            "quadric-fibration",
-            "scroll-over-surface",
-            "nef-adjoint",
-        ]
-
-    def test_nef_adjoint_citation(self):
-        records = {r.id: r for r in branch_map()}
-        assert records["nef-adjoint"].citation == "(1.5.5)"
 
 
 class TestQuadricParams:
@@ -117,13 +97,11 @@ class TestQuadricParams:
         (lambda: quadric_params(0, "3"), "fibration dimension n must be of type int, got '3'"),
         (lambda: default_n_range(9.0), "degree must be of type int, got 9.0"),
         (lambda: default_n_range(True), "degree must be of type int, got True"),
-        (lambda: elliptic_ampleness_status(2.0), "degree must be of type int, got 2.0"),
     ],
-    ids=["params-n-float", "params-genus-bool", "params-n-str", "n-range-float", "n-range-bool",
-         "ampleness-float"],
+    ids=["params-n-float", "params-genus-bool", "params-n-str", "n-range-float", "n-range-bool"],
 )
 def test_parameter_helpers_take_exact_ints(call, message):
-    # no QuadricParams(n=3.5), no TypeError from range(), no "not-ample" for 2.0
+    # no QuadricParams(n=3.5), no TypeError from range()
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
@@ -693,22 +671,6 @@ class TestDeepFibreDimension:
         assert all(len(c.splitting) == 1201 and sum(c.splitting) == d - 4 for c in candidates)
 
 
-class TestEllipticAmpleness:
-    def test_statuses(self):
-        assert elliptic_ampleness_status(1) == "not-ample"
-        assert elliptic_ampleness_status(2) == "not-ample"
-        assert elliptic_ampleness_status(3) == "ample-if-indecomposable"
-        assert elliptic_ampleness_status(4) == "ample-if-indecomposable"
-        assert elliptic_ampleness_status(5) == "ample"
-        assert elliptic_ampleness_status(6) == "ample"
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            elliptic_ampleness_status(0)
-        with pytest.raises(ValueError):
-            elliptic_ampleness_status(7)
-
-
 class TestVeroneseSolutions:
     def test_exact_solution_set(self):
         solutions = veronese_solutions()
@@ -730,6 +692,21 @@ class TestReductionTuples:
     def test_tuples_satisfy_the_constraint_system(self):
         for ln, r, lpn in reduction_tuples().general_type_tuples:
             assert ln >= 1 and r >= 1 and 2 <= lpn <= 4 and ln + r == lpn
+
+    def test_the_list_is_every_solution_but_one(self):
+        # every L^n, r >= 1 with L^n + r = L'^n <= 4 lies in this box
+        box = range(1, 5)
+        solutions = [
+            (ln, r, lpn)
+            for ln in box
+            for r in box
+            for lpn in box
+            if 2 <= lpn and ln + r == lpn
+        ]
+        assert solutions == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
+        published = reduction_tuples().general_type_tuples
+        assert [t for t in solutions if t not in published] == [classify._OMITTED_5_7]
+        assert classify._OMITTED_5_7 == (2, 1, 3)
 
 
 class TestDeltaBounds:

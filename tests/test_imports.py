@@ -80,8 +80,8 @@ def test_cli_import_loads_neither_resources_nor_inspect():
 
 
 # public names no genus3 code or acceptance test reaches, kept on purpose: the
-# ring's exported generators, and paper content awaiting the reproduce ledger
-UNREACHED_ALLOWED = {"H", "F", "branch_map", "elliptic_ampleness_status"}
+# ring's exported generators
+UNREACHED_ALLOWED = {"H", "F"}
 
 
 def public_definitions(trees):

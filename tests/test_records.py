@@ -58,7 +58,7 @@ def test_every_record_annotates_its_fields_and_binds_none_in_its_body():
     # annotation per field.  A value given to a field there (note: str = "")
     # would shadow the field's property, so every record would read that value.
     # Its __slots__ = () keeps a __dict__ off every instance.
-    assert len(RECORDS) == 30
+    assert len(RECORDS) == 29
     wrong = {}
     for record in RECORDS:
         annotated = list(inspect.get_annotations(record))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -597,12 +598,17 @@ class TestCli:
         [
             b'{"table": "5.7", "rows": [\xff]}',
             b'{"table": "5.7", "rows": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            # past the interpreter's integer digit limit (4300 by default), where
+            # json.load raises a bare ValueError
+            b'{"table": "5.7", "rows": [{"Ln": ' + b"9" * 5000 + b', "r": 1, "Lpn": 2}]}',
         ],
-        ids=["non-utf8-byte", "deeply-nested-rows"],
+        ids=["non-utf8-byte", "deeply-nested-rows", "oversized-integer"],
     )
     def test_unreadable_fixture_names_the_fixture(self, tmp_path, capsys, content):
         path = tmp_path / "unreadable.json"
         path.write_bytes(content)
+        with pytest.raises(FixtureError, match=f"^fixture {re.escape(str(path))}: "):
+            load_fixture(path)
         assert main(["verify", "--table", "5.7", "--fixture", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error: fixture {path}: " in err and "internal error" not in err
