@@ -582,6 +582,18 @@ def oracle_selftest() -> SelfTestReport:
     4n·g(C) - 8n = 2n·(g - 3) at every point, which is why
     ``corrected_identity_failures`` is 0 wherever g = 3.
 
+    The grid proves that the three routes agree at ranks 3..7 for every
+    (g(C), c1, b) in Z³; it is not a sample.  Each route only adds and
+    multiplies the factors' coefficients, so each compared number (the
+    closed forms d, 2g - 2 and s, the ring's and the oracle's d and 2g - 2)
+    is a polynomial in g(C), c1 and b.  F² = 0 keeps its degree in each at
+    most 1: a top-degree term carries either one F-coefficient, where b,
+    g(C) and c1 (through K) enter, or the one H^rank reduction, where c1
+    enters alone.  ``test_self_test_grid_routes_are_multi_affine`` pins
+    that bound on the grid by second differences.  A multi-affine function
+    of three integers is fixed by its values on a 2 × 2 × 2 box, which the
+    grid contains, so routes that agree on the grid agree everywhere.
+
     The loops run rank, c1, b, g(C), outermost first, so each piece of
     work sits in the outermost loop that fixes what it reads.  Per rank:
     for every b, the oracle's tail H^(rank-2)·(2H + bF), expanded in

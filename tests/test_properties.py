@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import types
+from itertools import product
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from genus3.chowcurve import (
     DivisorClass,
     ProjBundleModel,
     SplittingType,
+    canonical_class,
     h0_sym2_twist,
     multiply_classes,
     quadric_invariants,
@@ -155,6 +157,34 @@ def test_ring_matches_oracle_on_self_test_products_with_an_h_part():
                         product = multiply_classes(bundle, [DivisorClass(h, f), *ring_tail])
                         oracle = naive_top_degree(rank, c1, [(h, f)], start)
                         assert top_degree(bundle, product) == oracle, (rank, c1, b, h, f)
+
+
+def test_self_test_grid_routes_are_multi_affine():
+    # oracle_selftest's proof argument: at every rank on its grid, each compared
+    # quantity has zero second differences in g(C), in c1 and in b
+    values = {}
+    for rank, g_c, c1, b in product(range(3, 8), range(3), range(-6, 7), range(-6, 7)):
+        bundle = ProjBundleModel(BaseCurve(g_c), rank, c1)
+        d, g, s = quadric_invariants(bundle, b)
+        k_h, k_f = canonical_class(bundle)
+        tail = [(1, 0)] * (rank - 2) + [(2, b)]
+        # the degree H·tail and the adjoint number (K + (2H + bF) + (rank-2)·H)·tail
+        firsts = ((1, 0), (k_h + rank, k_f + b))
+        ring = [
+            top_degree(bundle, multiply_classes(bundle, [DivisorClass(*f) for f in (first, *tail)]))
+            for first in firsts
+        ]
+        oracle = [naive_top_degree(rank, c1, [first, *tail]) for first in firsts]
+        values[rank, g_c, c1, b] = (d, 2 * g - 2, s, *ring, *oracle)
+    differences = 0
+    for (rank, *point), v0 in values.items():
+        for axis in range(3):
+            shifted = [tuple(p + k * (i == axis) for i, p in enumerate(point)) for k in (1, 2)]
+            if (rank, *shifted[1]) in values:
+                v1, v2 = (values[(rank, *p)] for p in shifted)
+                assert [z - 2 * y + x for x, y, z in zip(v0, v1, v2)] == [0] * 7, (rank, point, axis)
+                differences += 1
+    assert differences == 5135
 
 
 def _code_names(code):
