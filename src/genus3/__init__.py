@@ -8,8 +8,8 @@ Submodules:
 * ``surflat`` - intersection lattices for the polarized surfaces that
   occur as scroll bases, with blow-up / weight-sequence arithmetic;
 * ``classify`` - the classification engines: splitting-type enumeration
-  with pruning rules, Veronese parameter solver, reduction and
-  Delta-genus bookkeeping;
+  with pruning rules, Veronese parameter solver, reduction bookkeeping
+  and the nef-adjoint degree window;
 * ``tablecli`` - table fixtures, verification reports, the brute-force
   ring oracle self-test, and the command-line interface.
 

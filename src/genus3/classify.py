@@ -2,8 +2,8 @@
 
 Three pieces: the rule-based enumeration of splitting types for
 hyperquadric fibrations over the projective line; the Veronese-fibration
-parameter solver; and the reduction / Delta-genus bookkeeping for the
-remaining branches.
+parameter solver; and the reduction bookkeeping and nef-adjoint degree
+window for the remaining branches.
 
 The enumeration rules mix re-derived arithmetic (parameter consistency,
 truncation positivity, cohomological obstructions) with cited bounds that
@@ -633,60 +633,17 @@ def reduction_tuples() -> ReductionRecord:
     )
 
 
-class DeltaNote(namedtuple("DeltaNote", "d delta text citation")):
-    """A cited structure note at degree d, for Delta-genus ``delta`` when one is named."""
-
-    __slots__ = ()
-    d: int
-    delta: int | None
-    text: str
-    citation: str
-
-
-class DeltaRecord(namedtuple("DeltaRecord", "d_range notes")):
-    """The nef-adjoint degree window and its cited case notes."""
+class DeltaRecord(namedtuple("DeltaRecord", "d_range")):
+    """The nef-adjoint degree window."""
 
     __slots__ = ()
     d_range: range
-    notes: tuple[DeltaNote, ...]
-
-
-_DELTA_NOTES: tuple[DeltaNote, ...] = (
-    DeltaNote(1, None, "not classified; no structure result recorded", "(5.1)"),
-    DeltaNote(
-        2,
-        1,
-        "|L| makes M a double covering of projective space with branch locus "
-        "a smooth hypersurface of degree eight",
-        "(5.2)",
-    ),
-    DeltaNote(2, 2, "Bs|L| is a finite set", "(5.2)"),
-    DeltaNote(2, 3, "no structure result recorded for Delta >= 3", "(5.2)"),
-    DeltaNote(3, 1, "Delta = 1 does not occur", "(5.3)"),
-    DeltaNote(
-        3,
-        2,
-        "dim Bs|L| <= 0; if Bs|L| is empty, |L| makes M a triple covering of "
-        "projective space, otherwise Bs|L| is one simple point and blowing it "
-        "up gives a degree-two morphism to projective space",
-        "(5.3)",
-    ),
-    DeltaNote(
-        4,
-        2,
-        "K + (n-2)L = 0 and Delta = 2, with dim Bs|L| <= 1; when Bs|L| is "
-        "empty, M is a quartic hypersurface or a double covering of a "
-        "hyperquadric",
-        "(5.4)",
-    ),
-)
 
 
 def delta_bounds() -> DeltaRecord:
-    """Degree window 1 <= d <= 4 for the nef-adjoint branch, with case notes.
+    """Degree window 1 <= d <= 4 for the nef-adjoint branch.
 
     The adjoint pairing gives 0 <= (K + (n-2)L) L^(n-1) = 4 - d, and
-    Delta = 0 would force genus zero, so Delta >= 1 throughout.  The notes
-    are carried data keyed by (d, Delta), cited, never recomputed.
+    Delta = 0 would force genus zero, so Delta >= 1 throughout.
     """
-    return DeltaRecord(d_range=range(1, 5), notes=_DELTA_NOTES)
+    return DeltaRecord(d_range=range(1, 5))

@@ -2,9 +2,9 @@
 
 Covers the surfaces that occur as bases of genus-three scrolls: the plane,
 geometrically ruled surfaces with the tautological convention H^2 = e, and
-blow-up chains with their weight-sequence arithmetic.  Verification of the
-genus-three surface table is recomputation-based and report-shaped, never
-assert-crashing, so a convention mismatch in one row cannot hide another.
+blow-up chains with their weight-sequence arithmetic.  A genus-three
+surface-table row is recomputed here, never judged: the verdict is the
+caller's.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class WeightSequence(namedtuple("WeightSequence", "weights")):
         return sum(m * m for m in self.weights)
 
 
-class SurfaceLattice(namedtuple("SurfaceLattice", "labels gram K A")):
-    """Basis, Gram matrix, canonical class and (optional) polarization.
+class SurfaceLattice(namedtuple("SurfaceLattice", "gram K A")):
+    """Gram matrix, canonical class and (optional) polarization.
 
     Every field is stored as a tuple (the Gram matrix as a tuple of tuple
     rows), whatever sequences it is given, so a lattice is immutable and
@@ -58,23 +58,17 @@ class SurfaceLattice(namedtuple("SurfaceLattice", "labels gram K A")):
     """
 
     __slots__ = ()
-    labels: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     K: tuple[int, ...]
     A: tuple[int, ...] | None
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, labels, gram, K, A=None) -> SurfaceLattice:
-        if isinstance(labels, str):  # tuple() would split it into one-letter labels
-            raise ValueError(f"basis labels must be a sequence of str, got the str {labels!r}")
-        labels, gram, K = tuple(labels), tuple(map(tuple, gram)), tuple(K)
+    def __new__(cls, gram, K, A=None) -> SurfaceLattice:
+        gram, K = tuple(map(tuple, gram)), tuple(K)
         A = None if A is None else tuple(A)
-        if not all(isinstance(label, str) for label in labels):
-            bad = next(label for label in labels if not isinstance(label, str))
-            raise ValueError(f"basis labels must be of type str, got {bad!r}")
-        n = len(labels)
-        if len(gram) != n or any(len(row) != n for row in gram):
-            raise ValueError("Gram matrix shape must match the basis")
+        n = len(gram)
+        if any(len(row) != n for row in gram):
+            raise ValueError("Gram matrix must be square")
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix must be symmetric")
         if len(K) != n:
@@ -85,15 +79,15 @@ class SurfaceLattice(namedtuple("SurfaceLattice", "labels gram K A")):
             if len(A) != n:
                 raise ValueError("polarization vector length must match the basis")
             require_ints("polarization entries", A)
-        return super().__new__(cls, labels, gram, K, A)
+        return super().__new__(cls, gram, K, A)
 
     def with_polarization(self, A: Sequence[int]) -> SurfaceLattice:
-        return SurfaceLattice(self.labels, self.gram, self.K, tuple(A))
+        return SurfaceLattice(self.gram, self.K, tuple(A))
 
 
 def pair(lattice: SurfaceLattice, D1: Sequence[int], D2: Sequence[int]) -> int:
     """Bilinear pairing D1^T . gram . D2."""
-    n = len(lattice.labels)
+    n = len(lattice.gram)
     if len(D1) != n or len(D2) != n:
         raise ValueError(f"vectors must have length {n}, got {len(D1)} and {len(D2)}")
     return sum(D1[i] * lattice.gram[i][j] * D2[j] for i in range(n) for j in range(n))
@@ -108,7 +102,6 @@ def make_ruled(model: RuledModel) -> SurfaceLattice:
     opposite sign already fails on the first Hirzebruch row with e = 1).
     """
     return SurfaceLattice(
-        labels=("H", "f"),
         gram=((model.e, 1), (1, 0)),
         K=(-2, 2 * model.base_genus - 2 + model.e),
     )
@@ -116,7 +109,7 @@ def make_ruled(model: RuledModel) -> SurfaceLattice:
 
 def make_plane() -> SurfaceLattice:
     """Lattice of the projective plane: basis {h}, h^2 = 1, K = -3h."""
-    return SurfaceLattice(labels=("h",), gram=((1,),), K=(-3,))
+    return SurfaceLattice(gram=((1,),), K=(-3,))
 
 
 def blow_up(lattice: SurfaceLattice, weights: WeightSequence) -> SurfaceLattice:
@@ -128,12 +121,10 @@ def blow_up(lattice: SurfaceLattice, weights: WeightSequence) -> SurfaceLattice:
     if lattice.A is None:
         raise ValueError("set the polarization A before blowing up")
     r = len(weights)
-    n = len(lattice.labels)
-    labels = lattice.labels + tuple(f"E{i + 1}" for i in range(r))
+    n = len(lattice.gram)
     gram = [row + (0,) * r for row in lattice.gram]
     gram += [(0,) * (n + i) + (-1,) + (0,) * (r - 1 - i) for i in range(r)]
     return SurfaceLattice(
-        labels=labels,
         gram=gram,
         K=lattice.K + (1,) * r,
         A=lattice.A + tuple(-m for m in weights.weights),
@@ -147,14 +138,13 @@ def sectional_genus_surface(KA: int, AA: int) -> int:
     return (KA + AA) // 2 + 1
 
 
-class MinimalizationResult(namedtuple("MinimalizationResult", "g AA KK genus_drop")):
-    """Sectional genus, A^2 and K^2 of (S, A), and the genus lost to the blow-ups."""
+class MinimalizationResult(namedtuple("MinimalizationResult", "g AA KK")):
+    """Sectional genus, A^2 and K^2 of (S, A)."""
 
     __slots__ = ()
     g: int
     AA: int
     KK: int
-    genus_drop: int
 
 
 def minimalization_invariants(
@@ -167,12 +157,10 @@ def minimalization_invariants(
     Must agree with blow_up + pair + sectional_genus_surface on every
     lattice-backed instance; the property tests enforce that.
     """
-    drop = weights.genus_drop
     return MinimalizationResult(
-        g=g_min - drop,
+        g=g_min - weights.genus_drop,
         AA=AA_min - weights.square_sum,
         KK=KK_min - len(weights),
-        genus_drop=drop,
     )
 
 
@@ -199,19 +187,6 @@ def deg_t_enumeration() -> tuple[DegTRow, ...]:
         rows.append(DegTRow(degT=deg_t, degG=1 - deg_t, c2=1 + deg_t, L3=6 - (1 + deg_t)))
         deg_t += 1
     return tuple(rows)
-
-
-class RowCheck(
-    namedtuple("RowCheck", "status expected_AA recomputed_AA recomputed_g note", defaults=("",))
-):
-    """Recomputation verdict for one surface-table row."""
-
-    __slots__ = ()
-    status: str  # "verified" | "discrepancy"
-    expected_AA: int
-    recomputed_AA: int
-    recomputed_g: int
-    note: str
 
 
 # The integer parameters each family of the surface table reads from a row.
@@ -265,27 +240,16 @@ def _minimal_model_invariants(row: Mapping) -> tuple[int, int, int]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def verify_row_2_3(row: Mapping) -> RowCheck:
-    """Recompute (A^2, g) for a surface-table row and compare.
+def verify_row_2_3(row: Mapping) -> MinimalizationResult:
+    """Recompute (g, A^2, K^2) for a surface-table row; the caller compares.
 
-    The row is a mapping with a family tag I..VIII, the expected ``A2``,
-    optional blow-up ``weights`` and the family's ``FAMILY_FIELDS``.
-    Malformed rows raise ValueError.
+    The row is a mapping with a family tag I..VIII, optional blow-up
+    ``weights`` and the family's ``FAMILY_FIELDS``.  Malformed rows raise
+    ValueError.
     """
     try:
-        expected_aa = row["A2"]
         weights = WeightSequence(tuple(row.get("weights", ())))
         g_min, aa_min, kk_min = _minimal_model_invariants(row)
     except KeyError as exc:
         raise ValueError(f"surface-table row is missing field {exc}") from exc
-    result = minimalization_invariants(g_min, aa_min, kk_min, weights)
-    note = ""
-    if (result.AA, result.g) != (expected_aa, 3):
-        note = f"recomputed (A^2, g) = ({result.AA}, {result.g}), table says ({expected_aa}, 3)"
-    return RowCheck(
-        status="discrepancy" if note else "verified",
-        expected_AA=expected_aa,
-        recomputed_AA=result.AA,
-        recomputed_g=result.g,
-        note=note,
-    )
+    return minimalization_invariants(g_min, aa_min, kk_min, weights)

@@ -104,13 +104,12 @@ def load_fixture(path, table: str | None = None) -> list[ClassificationRow]:
             document = json.load(handle)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise FixtureError(f"fixture {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(
             f"fixture {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit
+    # a UnicodeDecodeError, or an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
         raise FixtureError(f"fixture {path}: {exc}") from exc
     if not isinstance(document, dict) or "table" not in document:
         raise FixtureError(f"fixture {path}: top level must be an object with a 'table' id")
@@ -237,20 +236,22 @@ class VerificationReport(namedtuple("VerificationReport", "table verdicts")):
 
 def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
     for index, row in enumerate(rows):
+        params = row.params
         try:
-            check = surflat.verify_row_2_3(row.params)
-        except ValueError as exc:  # a loaded row fails here only on an odd K.A + A^2
-            names = ("A2",) + surflat.FAMILY_FIELDS.get(row.params.get("family"), ())
-            given = ", ".join(f"{n!r} = {row.params[n]}" for n in names if n in row.params)
+            result = surflat.verify_row_2_3(params)
+        except ValueError as exc:  # a checked row fails here only on an odd K.A + A^2
+            names = ("A2", *surflat.FAMILY_FIELDS[params["family"]])
+            given = ", ".join(f"{n!r} = {params[n]}" for n in names)
             raise FixtureError(f"row {index}: {row.key}: {exc}; the row gives {given}") from exc
-        flagged = check.status == "discrepancy"
-        whitelisted = flagged and row.params.get("expect_discrepancy") is True
+        recomputed, expected = (result.AA, result.g), (params["A2"], 3)
+        flagged = recomputed != expected
+        whitelisted = flagged and params.get("expect_discrepancy") is True
         yield Verdict(
             key=row.key,
-            verdict=check.status,
-            note=check.note,
-            expected=f"A^2={check.expected_AA}, g=3",
-            recomputed=f"A^2={check.recomputed_AA}, g={check.recomputed_g}",
+            verdict="discrepancy" if flagged else "verified",
+            note=f"recomputed (A^2, g) = {recomputed}, table says {expected}" if flagged else "",
+            expected=f"A^2={expected[0]}, g=3",
+            recomputed=f"A^2={result.AA}, g={result.g}",
             whitelisted=whitelisted,
             unexpected=flagged and not whitelisted,
         )
@@ -261,10 +262,10 @@ def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator
     for row in rows:
         by_d.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row
     for d in sorted(set(by_d).union(_RATIONAL_D_WINDOW)):
-        table_rows = {split: row.params["status"] for split, row in by_d.get(d, {}).items()}
-        candidates = classify.enumerate_quadric_splittings(d, paper_rows=table_rows)
-        admitted = {c.splitting: c for c in candidates if c.status == "admitted"}
-        for split, row in sorted(by_d.get(d, {}).items()):
+        published = by_d.get(d, {})
+        candidates = classify.enumerate_quadric_splittings(d)
+        admitted = {c.splitting for c in candidates if c.status == "admitted"}
+        for split, row in sorted(published.items()):
             if split in admitted:
                 yield Verdict(key=row.key, verdict="verified")
             else:
@@ -278,14 +279,13 @@ def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator
                     note=f"enumerator rejects a published row: {trace}",
                     unexpected=True,
                 )
-        for split, cand in sorted(admitted.items()):
-            if cand.beyond_paper:
-                yield Verdict(
-                    key=f"d={d} {split}",
-                    verdict="beyond-paper",
-                    note="admitted by the default rules but absent from the published list",
-                    unexpected=d >= 4,
-                )
+        for split in sorted(admitted - published.keys()):
+            yield Verdict(
+                key=f"d={d} {split}",
+                verdict="beyond-paper",
+                note="admitted by the default rules but absent from the published list",
+                unexpected=d >= 4,
+            )
 
 
 def _verify_exact_list(
@@ -917,7 +917,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a reader that went away
-    except (FixtureError, ValueError) as exc:
+    except ValueError as exc:  # a FixtureError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault in genus3 itself; exit 1 stays "unexpected verdict"

@@ -712,14 +712,3 @@ class TestReductionTuples:
 class TestDeltaBounds:
     def test_degree_window(self):
         assert delta_bounds().d_range == range(1, 5)
-
-    def test_degree_four_note(self):
-        notes = [n for n in delta_bounds().notes if n.d == 4]
-        assert len(notes) == 1 and "K + (n-2)L = 0" in notes[0].text
-
-    def test_degree_two_note(self):
-        texts = [n.text for n in delta_bounds().notes if n.d == 2 and n.delta == 1]
-        assert len(texts) == 1 and "degree eight" in texts[0]
-
-    def test_notes_carry_citations(self):
-        assert all(n.citation for n in delta_bounds().notes)

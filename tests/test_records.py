@@ -58,7 +58,7 @@ def test_every_record_annotates_its_fields_and_binds_none_in_its_body():
     # annotation per field.  A value given to a field there (note: str = "")
     # would shadow the field's property, so every record would read that value.
     # Its __slots__ = () keeps a __dict__ off every instance.
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 27
     wrong = {}
     for record in RECORDS:
         annotated = list(inspect.get_annotations(record))
@@ -89,9 +89,6 @@ VALIDATING = {
     "SurfaceLattice-A": (make_plane().with_polarization((4,)), "A", (4.0,)),
     "SurfaceLattice-gram-float": (make_plane(), "gram", ((1.5,),)),
     "SurfaceLattice-K-bool": (make_plane(), "K", (True,)),
-    "SurfaceLattice-labels": (make_plane(), "labels", (1,)),
-    # a bare str is not split into one-letter labels: "h" would pass as ("h",)
-    "SurfaceLattice-labels-str": (make_plane(), "labels", "h"),
     "ProjBundleModel-rank": (ProjBundleModel(BaseCurve(0), 3, 2), "rank", 1),
     "ProjBundleModel-c1": (ProjBundleModel(BaseCurve(0), 3, 2), "c1", 2.0),
     "ProjBundleModel-base": (ProjBundleModel(BaseCurve(0), 3, 2), "base", 0),
