@@ -268,7 +268,11 @@ def _sym2_degrees(degrees: Sequence[int], t: int) -> list[int]:
 
 
 def h0_sym2_twist(degrees: Sequence[int], t: int) -> int:
-    """h^0 on P^1 of Sym^2 of the split bundle twisted by O(t)."""
+    """h^0 on P^1 of Sym^2 of the split bundle twisted by O(t).
+
+    The brute-force count, one term per pair of summands: the tests'
+    ``corank1_reference`` runs ``corank1_emptiness``'s every-index loop on it.
+    """
     return h0_line_bundle_sum_P1(_sym2_degrees(degrees, t))
 
 
@@ -332,14 +336,20 @@ def corank1_emptiness(splitting: Sequence[int], b: int) -> int | None:
     candidate cannot exist.  Returns the first such index (the witness),
     or None when every restriction has sections.
 
-    An index whose degree equals the previous one is skipped: removing
-    either leaves the same summands, and the earlier index comes first.
+    h^0(Sym^2(E_I)(b)) sums max(0, e_i + e_j + b + 1) over pairs from I, so
+    it vanishes exactly when 2*max(E_I) + b < 0, and when I is empty.  On a
+    sorted splitting e_0 <= ... <= e_n, removing any index below n leaves
+    e_n as the maximum, so index 0 is the witness when 2*e_n + b < 0, or
+    when n = 0.  Otherwise only removing e_n leaves a smaller maximum,
+    e_(n-1): n is the witness when 2*e_(n-1) + b < 0, which then forces
+    e_(n-1) < e_n.
     """
-    previous = None
-    for i, a in enumerate(splitting):
-        if a != previous and h0_sym2_twist(splitting[:i] + splitting[i + 1 :], b) == 0:
-            return i
-        previous = a
+    if len(splitting) < 2:
+        return 0 if splitting else None
+    if 2 * splitting[-1] + b < 0:
+        return 0
+    if 2 * splitting[-2] + b < 0:
+        return len(splitting) - 1
     return None
 
 

@@ -110,11 +110,13 @@ class TruncationPositivityRule:
         violation = chowcurve.truncation_positivity(splitting, b)
         if violation is None:
             return None
-        if violation not in self._traces:
+        trace = self._traces.get(violation)
+        if trace is None:
             k, number = violation
             detail = f"k={k}: d - 2*(top-{k} sum) = {number} <= 0"
-            self._traces[violation] = RuleResult(self.name, detail, "(3.7)" if k == 2 else "(3.17.1)")
-        return self._traces[violation]
+            citation = "(3.7)" if k == 2 else "(3.17.1)"
+            trace = self._traces[violation] = RuleResult(self.name, detail, citation)
+        return trace
 
 
 class FloorBoundRule:

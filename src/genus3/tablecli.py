@@ -191,6 +191,37 @@ def _csv(header: Sequence[str], records: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
+# Through Python 3.13, json.dumps runs its pure-Python encoder whenever
+# ``indent`` is set.  The C encoder takes no indent, but with these item
+# separators its output already breaks and indents the fields of records at
+# depth 2, and of an object at depth 1, as ``indent=2`` does
+_RECORD_FIELDS = json.JSONEncoder(separators=(",\n      ", ": "))
+_OBJECT_FIELDS = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _json_document(payload: Mapping) -> str:
+    r"""``json.dumps(payload, indent=2)`` for a report, through json's C encoder.
+
+    ``payload`` is a non-empty object; each value is a scalar, a flat object,
+    or an array of flat, non-empty records.  One ``encode`` call renders an
+    array, and one ``replace`` re-indents its record breaks ``},\n      {``.
+    That text cannot come from a string value, because json escapes every
+    newline inside a string.
+    """
+    members = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            records = _RECORD_FIELDS.encode(value)[2:-2]
+            records = records.replace("},\n      {", "\n    },\n    {\n      ")
+            text = "[\n    {\n      " + records + "\n    }\n  ]"
+        elif isinstance(value, dict) and value:
+            text = "{\n    " + _OBJECT_FIELDS.encode(value)[1:-1] + "\n  }"
+        else:
+            text = json.dumps(value)
+        members.append(json.dumps(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(members) + "\n}"
+
+
 class VerificationReport(namedtuple("VerificationReport", "table verdicts")):
     """Every verdict of one table's verification, in text, JSON or CSV."""
 
@@ -228,7 +259,7 @@ class VerificationReport(namedtuple("VerificationReport", "table verdicts")):
     def to_json(self) -> str:
         payload = {"table": self.table, "verdicts": [v._asdict() for v in self.verdicts]}
         payload |= {"counts": self.counts, "exit_status": self.exit_status}
-        return json.dumps(payload, indent=2)
+        return _json_document(payload)
 
     def to_csv(self) -> str:
         return _csv(_VERDICT_COLUMNS, map(attrgetter(*_VERDICT_COLUMNS), self.verdicts))
@@ -568,7 +599,7 @@ class SelfTestReport(
         payload = self._asdict()
         key = "variant_identity_counterexamples"
         payload[key] = [c._asdict() for c in payload[key]]
-        return json.dumps(payload | {"passed": self.passed}, indent=2)
+        return _json_document(payload | {"passed": self.passed})
 
 
 def oracle_selftest() -> SelfTestReport:

@@ -430,7 +430,7 @@ class TestBaseLocus:
 
 
 def corank1_reference(splitting, b):
-    """``corank1_emptiness`` as it was: every removed index tried in turn."""
+    """``corank1_emptiness`` by brute force: every removed index tried in turn."""
     for i in range(len(splitting)):
         if chowcurve.h0_sym2_twist(splitting[:i] + splitting[i + 1 :], b) == 0:
             return i
@@ -439,7 +439,7 @@ def corank1_reference(splitting, b):
 
 class TestCorank1:
     def test_matches_every_index_loop_on_every_rule_reaching_tuple(self, monkeypatch):
-        # h^0 is a pure function; both loops read one memo of it
+        # h^0 is a pure function; the reference loop reads one memo of it
         monkeypatch.setattr(chowcurve, "h0_sym2_twist", functools.cache(h0_sym2_twist))
         checked = 0
         for d in range(1, 13):
@@ -454,18 +454,32 @@ class TestCorank1:
         assert checked == 2580
 
     def test_matches_every_index_loop_on_a_box(self, monkeypatch):
-        # 204,204 cases; n = 6 as well would make 534,820 and take about 7 s
+        # lengths 0 to 6: 210,392 cases; length 7 as well would make 541,008 and
+        # take about 7 s
         box = [
             degrees
-            for n in range(3, 6)
-            for degrees in combinations_with_replacement(range(-4, 7), n + 1)
+            for length in range(7)
+            for degrees in combinations_with_replacement(range(-4, 7), length)
         ]
         for b in range(-8, 9):
-            # h^0 is a pure function; both loops read one memo, fresh for each b
+            # h^0 is a pure function; the reference loop reads one memo, fresh for each b
             monkeypatch.setattr(chowcurve, "h0_sym2_twist", functools.cache(h0_sym2_twist))
             got = [corank1_emptiness(degrees, b) for degrees in box]
             assert got == [corank1_reference(degrees, b) for degrees in box], b
-        assert len(box) == 12012
+        assert len(box) == 12376
+
+    @pytest.mark.parametrize(
+        "splitting, b, witness",
+        [
+            ((), 0, None),  # nothing to remove
+            ((5,), 0, 0),  # removing the only summand leaves h^0 = 0
+            ((0, 2, 2), -4, None),  # a repeated top survives every removal
+            ((0, 1, 2), -3, 2),  # only removing the top leaves 2*1 - 3 < 0
+        ],
+    )
+    def test_short_splittings(self, splitting, b, witness):
+        assert corank1_emptiness(splitting, b) == witness
+        assert corank1_reference(splitting, b) == witness
 
     def test_excluded_with_witness(self):
         assert corank1_emptiness((1, 1, 1, 4), -3) == 3

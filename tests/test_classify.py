@@ -5,7 +5,6 @@ import pytest
 
 from genus3 import classify
 from genus3.classify import (
-    Candidate,
     CitedCapRule,
     Corank1EmptyRule,
     FloorBoundRule,
@@ -23,7 +22,7 @@ from genus3.classify import (
     reduction_tuples,
     veronese_solutions,
 )
-from genus3.chowcurve import BaseCurve, ProjBundleModel, SplittingType, quadric_invariants
+from genus3.chowcurve import ProjBundleModel, SplittingType, quadric_invariants
 
 # admitted splitting lists per degree, from the published table
 TABLE_SPLITTINGS = {

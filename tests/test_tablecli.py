@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from genus3 import classify, tablecli
 from genus3.tablecli import (
@@ -848,6 +850,23 @@ def test_grouped_renderers_match_per_candidate_rendering(candidates):
     assert tablecli._candidates_text(candidates) == reference_text(candidates)
     assert tablecli._candidates_json(candidates) == reference_json(candidates)
     assert tablecli._candidates_csv(candidates) == reference_csv(candidates)
+
+
+# report-shaped payloads: scalars, flat objects and arrays of flat, non-empty records
+json_texts = st.text() | st.sampled_from(['"', "\\", "\n", "\u00e9\u2603", "},\n      {", "}, {"])
+json_scalars = st.none() | st.booleans() | st.integers() | json_texts
+flat_records = st.dictionaries(json_texts, json_scalars, min_size=1, max_size=4)
+flat_objects = st.dictionaries(json_texts, json_scalars, max_size=4)
+report_payloads = st.dictionaries(
+    json_texts, json_scalars | flat_objects | st.lists(flat_records, max_size=4), min_size=1, max_size=5
+)
+
+
+@given(report_payloads)
+@example({"counts": {}, "verdicts": []})
+@example({"verdicts": [{"note": "},\n      {", "n": 1}, {"\u00e9": None, "ok": True}], "exit_status": 0})
+def test_json_document_matches_json_dumps_with_indent(payload):
+    assert tablecli._json_document(payload) == json.dumps(payload, indent=2)
 
 
 def test_packaged_fixture_path_rejects_unknown():
