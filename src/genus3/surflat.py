@@ -230,7 +230,7 @@ def _minimal_model_invariants(row: Mapping) -> tuple[int, int, int]:
         a = (row["degree"],)
         aa = pair(lattice, a, a)
         ka = pair(lattice, lattice.K, a)
-        return sectional_genus_surface(ka, aa), aa, 9
+        return sectional_genus_surface(ka, aa), aa, pair(lattice, lattice.K, lattice.K)
     if family == "VIII":
         # Del Pezzo stage j with A_j = -a * K_j
         kkj, a = row["KKj"], row["a"]

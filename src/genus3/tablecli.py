@@ -292,7 +292,7 @@ def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator
     by_d: dict[int, dict[tuple[int, ...], ClassificationRow]] = {}
     for row in rows:
         by_d.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row
-    for d in sorted(set(by_d).union(_RATIONAL_D_WINDOW)):
+    for d in _RATIONAL_D_WINDOW:  # verify has checked every row's d into the window
         published = by_d.get(d, {})
         candidates = classify.enumerate_quadric_splittings(d)
         admitted = {c.splitting for c in candidates if c.status == "admitted"}
@@ -312,7 +312,7 @@ def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator
                 )
         for split in sorted(admitted - published.keys()):
             yield Verdict(
-                key=f"d={d} {split}",
+                key=spec.key({"d": d, "splitting": split}),
                 verdict="beyond-paper",
                 note="admitted by the default rules but absent from the published list",
                 unexpected=d >= 4,
@@ -723,21 +723,25 @@ def oracle_selftest() -> SelfTestReport:
 
 
 def _grouped(
-    candidates: Sequence[classify.Candidate], render: Callable[[classify.Candidate], tuple]
-) -> Iterator[tuple[classify.Candidate, tuple]]:
-    """Pair each candidate with ``render`` of its group, rendered once per group.
+    candidates: Sequence[classify.Candidate],
+    halves: Callable[[classify.Candidate], tuple[str, str]],
+    entries: Callable[[tuple[int, ...]], str],
+) -> Iterator[str]:
+    """Each candidate's splitting ``entries`` between its group's ``halves``, made once per group.
 
     A group is every candidate with the same d, n, rule, paper status and
     beyond-paper flag: every field but the splitting's entries.  At an s < 0
     fibre dimension one trace excludes every tuple, so one group holds them all.
+    A splitting's entries are ints, whose text is only digits and minus signs:
+    joined by spaces they need no CSV quoting, and as JSON no escaping.
     """
-    memo: dict[tuple, tuple] = {}
+    memo: dict[tuple, tuple[str, str]] = {}
     for c in candidates:
         key = (c.d, len(c.splitting), c.rule, c.paper_status, c.beyond_paper)
         shared = memo.get(key)
         if shared is None:
-            shared = memo[key] = render(c)
-        yield c, shared
+            shared = memo[key] = halves(c)
+        yield shared[0] + entries(c.splitting) + shared[1]
 
 
 def _text_halves(c: classify.Candidate) -> tuple[str, str]:
@@ -753,10 +757,8 @@ def _candidates_text(candidates: Sequence[classify.Candidate]) -> str:
     if not candidates:
         return "no candidates"
     head = candidates[0]
-    lines = [f"d={head.d}  e={head.e}  b={head.b}"]
-    grouped = _grouped(candidates, _text_halves)
-    lines += [f"{lead}{c.splitting}{rest}" for c, (lead, rest) in grouped]
-    return "\n".join(lines)
+    lines = _grouped(candidates, _text_halves, str)  # a splitting tuple's repr is its text
+    return "\n".join([f"d={head.d}  e={head.e}  b={head.b}", *lines])
 
 
 def _candidate_payload(c: classify.Candidate) -> dict:
@@ -782,7 +784,7 @@ def _json_halves(c: classify.Candidate) -> tuple[str, str]:
     """
     payload = _candidate_payload(c)
     payload["splitting"] = []
-    item = "  " + json.dumps(payload, indent=2).replace("\n", "\n  ")
+    item = "  " + _json_document(payload).replace("\n", "\n  ")
     lead, _, rest = item.partition('"splitting": []')
     return lead + '"splitting": [\n      ', "\n    ]" + rest
 
@@ -792,27 +794,21 @@ def _candidates_json(candidates: Sequence[classify.Candidate]) -> str:
     if not candidates:
         return "[]"
     # json writes an int as str() does; a splitting always has at least 4 entries
-    items = (
-        lead + ",\n      ".join(map(str, c.splitting)) + rest
-        for c, (lead, rest) in _grouped(candidates, _json_halves)
-    )
+    items = _grouped(candidates, _json_halves, lambda s: ",\n      ".join(map(str, s)))
     return "[\n" + ",\n".join(items) + "\n]"
 
 
-def _csv_halves(c: classify.Candidate) -> tuple[tuple, tuple]:
+def _csv_halves(c: classify.Candidate) -> tuple[str, str]:
     rule = (c.rule.rule, c.rule.detail, c.rule.citation) if c.rule else ("", "", "")
-    return (c.d, c.n), (c.e, c.b, c.s, c.status, *rule, c.paper_status or "", c.beyond_paper)
+    rest = (c.e, c.b, c.s, c.status, *rule, c.paper_status or "", c.beyond_paper)
+    return f"{c.d},{c.n},", "," + _csv(rest, ())  # rest as _csv's header row, newline and all
 
 
 def _candidates_csv(candidates: Sequence[classify.Candidate]) -> str:
-    header = ("d", "n", "splitting", "e", "b", "s", "status", "rule", "detail", "citation", "paper_status", "beyond_paper")
-    return _csv(
-        header,
-        (
-            (*lead, " ".join(map(str, c.splitting)), *rest)
-            for c, (lead, rest) in _grouped(candidates, _csv_halves)
-        ),
-    )
+    buffer = io.StringIO()
+    buffer.write("d,n,splitting,e,b,s,status,rule,detail,citation,paper_status,beyond_paper\n")
+    buffer.writelines(_grouped(candidates, _csv_halves, lambda s: " ".join(map(str, s))))
+    return buffer.getvalue()
 
 
 _RULES_BY_NAME = {rule.name: rule for rule in classify.RULES}

@@ -816,7 +816,10 @@ def mixed_candidates():
     """Three degrees with paper rows, d = 1 again without, and hand-made JSON-like traces.
 
     Admitted candidates at d = 1 differ only in the beyond-paper flag between
-    the two d = 1 listings, so a group key without the flag would show.
+    the two d = 1 listings, so a group key without the flag would show.  The
+    hand-made traces and paper statuses put each of ``,``, ``"``, ``\\r`` and
+    ``\\n`` alone in some field, and one detail is empty, so the group's CSV
+    fields must be quoted exactly as csv.writer quotes each row.
     """
     paper = {}
     for row in bundled_rows("3.25"):
@@ -831,6 +834,10 @@ def mixed_candidates():
         classify.Candidate((-1, 0, 0, 1), 4, None, 'quoted "splitting": [] \u00e9', False),
         classify.Candidate((0, 0, 0, 0, 0), 4, tricky),
         classify.Candidate((1, 1, 1, 1), 8, tricky),  # the same trace at another degree
+        classify.Candidate((0, 0, 1, 1), 4, classify.RuleResult("x,y", "cr\rlf", '"q"')),
+        classify.Candidate((0, 0, 0, 2), 4, classify.RuleResult("empty-detail", "", "\n")),
+        classify.Candidate((0, 1, 1, 2), 5, None, 'a, "b"\r\nc\rd\n', False),
+        classify.Candidate((0, 0, 1, 2), 5, None, '"', True),
     ]
     return listed
 
