@@ -25,11 +25,25 @@ class UnboundedEnumerationError(ValueError):
 
 
 class QuadricParams(namedtuple("QuadricParams", "g_C n")):
-    """Parameter map d -> (e, b, s) for hyperquadric fibrations over a curve."""
+    """Genus-three parameter map d -> (e, b, s) for hyperquadric fibrations over a curve.
+
+    2 g(C) + e + b = 4, d = 2e + b and s = 2e + (n+1)b.  The d_range is empty
+    for g_C >= 2: s < 0 at every d >= 1, so only rational and elliptic bases occur.
+    """
 
     __slots__ = ()
     g_C: int
     n: int
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
+
+    def __new__(cls, g_C: int, n: int) -> QuadricParams:
+        chowcurve.require_ints("base genus", (g_C,))
+        chowcurve.require_ints("fibration dimension n", (n,))
+        if n < 3:
+            raise ValueError(f"fibration dimension n must be >= 3, got {n}")
+        if g_C < 0:
+            raise ValueError(f"base genus must be >= 0, got {g_C}")
+        return super().__new__(cls, g_C, n)
 
     def e(self, d: int) -> int:
         return d - 4 + 2 * self.g_C
@@ -38,28 +52,12 @@ class QuadricParams(namedtuple("QuadricParams", "g_C n")):
         return 8 - 4 * self.g_C - d
 
     def s(self, d: int) -> int:
-        return (1 - self.n) * d + 4 * self.n * (2 - self.g_C)
+        return 2 * self.e(d) + (self.n + 1) * self.b(d)
 
     @property
     def d_range(self) -> range:
-        # s(d) decreases in d; top of the range is the last d with s >= 0
-        d_max = 4 * self.n * (2 - self.g_C) // (self.n - 1)
-        return range(1, max(d_max, 0) + 1)
-
-
-def quadric_params(g_C: int, n: int) -> QuadricParams:
-    """Genus-three parameter relations 2 g(C) + e + b = 4 and d = 2e + b.
-
-    Empty d_range for g_C >= 2: the smoothness defect s goes negative for
-    every positive degree, so only rational and elliptic bases occur.
-    """
-    chowcurve.require_ints("base genus", (g_C,))
-    chowcurve.require_ints("fibration dimension n", (n,))
-    if n < 3:
-        raise ValueError(f"fibration dimension n must be >= 3, got {n}")
-    if g_C < 0:
-        raise ValueError(f"base genus must be >= 0, got {g_C}")
-    return QuadricParams(g_C=g_C, n=n)
+        # s falls by s(0) - s(1) = n - 1 per degree; the range ends at the last d with s >= 0
+        return range(1, max(self.s(0) // (self.s(0) - self.s(1)), 0) + 1)
 
 
 class RuleResult(namedtuple("RuleResult", "rule detail citation")):
@@ -271,16 +269,17 @@ DEFAULT_N_CAP = max(cap.n_max for cap in N_CAPS) + 1
 def default_n_range(d: int) -> range:
     """Default fibre-dimension range for degree d.
 
-    For d >= 9 the defect s = d + n(8 - d) goes negative past d/(d - 8).
-    Below that the range ends at ``DEFAULT_N_CAP``, the first n at which
-    every pattern cap in ``N_CAPS`` has fired; the admitted set does not
-    grow past it (pinned by the tests up to n = 18, not re-proved here,
-    since the caps are cited data).
+    s changes by b per unit of n: where b < 0 (d >= 9) the range ends at
+    the last n with s >= 0.  Elsewhere it ends at ``DEFAULT_N_CAP``, the
+    first n at which every pattern cap in ``N_CAPS`` has fired; the admitted
+    set does not grow past it (pinned by the tests up to n = 18, not
+    re-proved here, since the caps are cited data).
     """
     chowcurve.require_ints("degree", (d,))
-    if d >= 9:
-        return range(3, d // (d - 8) + 1)
-    return range(3, DEFAULT_N_CAP + 1)
+    p = QuadricParams(0, 3)
+    if p.b(d) >= 0:
+        return range(3, DEFAULT_N_CAP + 1)
+    return range(3, 3 + p.s(d) // -p.b(d) + 1)
 
 
 class Candidate(
@@ -305,17 +304,9 @@ class Candidate(
     def n(self) -> int:
         return len(self.splitting) - 1
 
-    @property
-    def e(self) -> int:
-        return quadric_params(0, self.n).e(self.d)
-
-    @property
-    def b(self) -> int:
-        return quadric_params(0, self.n).b(self.d)
-
-    @property
-    def s(self) -> int:
-        return quadric_params(0, self.n).s(self.d)
+    e = property(lambda self: QuadricParams(0, self.n).e(self.d))
+    b = property(lambda self: QuadricParams(0, self.n).b(self.d))
+    s = property(lambda self: QuadricParams(0, self.n).s(self.d))
 
     @property
     def status(self) -> str:
@@ -505,7 +496,7 @@ def enumerate_quadric_splittings(
     order, recording either admission or the first excluding rule.  The
     output is canonically sorted by (n, splitting) and is deterministic.
     The base is rational: e, b and s at each n come from
-    ``quadric_params(0, n)``, which also rejects n < 3.
+    ``QuadricParams(0, n)``, which also rejects n < 3.
 
     The leading run of rules whose verdict reads only (d, b, s), marked
     ``reads_splitting = False``, is checked once per fibre dimension.
@@ -527,7 +518,7 @@ def enumerate_quadric_splittings(
     dims = sorted(set(n_range))
     if not dims:
         raise ValueError(f"empty fibre-dimension range at d = {d}")
-    params = [quadric_params(0, n) for n in dims]
+    params = [QuadricParams(0, n) for n in dims]
     if rules is None:
         rules = default_rules()
     if not any(isinstance(rule, TruncationPositivityRule) for rule in rules):
@@ -605,12 +596,16 @@ def veronese_solutions() -> list[VeroneseSolution]:
     return solutions
 
 
-class ReductionRecord(namedtuple("ReductionRecord", "general_type_tuples veronese_blowup_bound")):
+class ReductionRecord(namedtuple("ReductionRecord", "general_type_tuples")):
     """The (L^n, r, L'^n) reduction tuples and the Veronese blow-up bound on r."""
 
     __slots__ = ()
     general_type_tuples: tuple[tuple[int, int, int], ...]
-    veronese_blowup_bound: int
+
+    @property
+    def veronese_blowup_bound(self) -> int:
+        # the elliptic Veronese fibration's degree is L^3 + r with L^3 >= 1
+        return next(v.d for v in veronese_solutions() if v.g_C == 1) - 1
 
 
 # The (L^n, r, L'^n) system 2 <= L^n + r = L'^n <= 4 with L^n, r >= 1 has six
@@ -623,16 +618,14 @@ def reduction_tuples() -> ReductionRecord:
     """Degree bookkeeping for iterated simple blow-downs.
 
     Returns the (L^n, r, L'^n) list for reductions whose minimal model has
-    nef adjoint, solved from 2 <= L^n + r = L'^n <= 4 with L^n, r >= 1,
-    sorted and without ``_OMITTED_5_7``, plus the bound r <= 3 when the
-    minimal model is the elliptic Veronese fibration (there 4 = L^3 + r
-    with L^3 >= 1).
+    nef adjoint, solved from L^n + r = L'^n with L^n, r >= 1 and L'^n in
+    the ``delta_bounds`` window, sorted and without ``_OMITTED_5_7``.  The
+    record reads its bound on r, for an elliptic Veronese minimal model,
+    off ``veronese_solutions`` when asked.
     """
-    solutions = sorted((ln, lpn - ln, lpn) for lpn in range(2, 5) for ln in range(1, lpn))
-    return ReductionRecord(
-        general_type_tuples=tuple(t for t in solutions if t != _OMITTED_5_7),
-        veronese_blowup_bound=3,
-    )
+    window = delta_bounds().d_range
+    solutions = sorted((ln, lpn - ln, lpn) for lpn in window for ln in range(1, lpn))
+    return ReductionRecord(tuple(t for t in solutions if t != _OMITTED_5_7))
 
 
 class DeltaRecord(namedtuple("DeltaRecord", "d_range")):

@@ -183,8 +183,8 @@ def deg_t_enumeration() -> tuple[DegTRow, ...]:
     """
     rows = []
     deg_t = 1
-    while 6 - (1 + deg_t) >= 1:
-        rows.append(DegTRow(degT=deg_t, degG=1 - deg_t, c2=1 + deg_t, L3=6 - (1 + deg_t)))
+    while (l3 := 6 - (c2 := 1 + deg_t)) >= 1:
+        rows.append(DegTRow(degT=deg_t, degG=1 - deg_t, c2=c2, L3=l3))
         deg_t += 1
     return tuple(rows)
 

@@ -71,6 +71,10 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+def _is_text(value) -> bool:
+    return isinstance(value, str) and value.isprintable()  # no line break to split a record
+
+
 def _require(index: int, raw: Mapping, name: str, test=_is_int, what="an integer") -> None:
     if name not in raw:
         raise FixtureError(f"row {index}: missing field {name!r}")
@@ -356,8 +360,8 @@ def _is_splitting(value) -> bool:
 
 
 def _check_2_3(index: int, raw: Mapping) -> None:
-    """A 2.3 row's family, that family's integer parameters, and the optional
-    positive integer weights and boolean ``expect_discrepancy``."""
+    """A 2.3 row's family and that family's integer parameters; the optional
+    integer ``e``, positive integer weights and boolean ``expect_discrepancy``."""
     families = surflat.FAMILY_FIELDS
     _require(
         index, raw, "family",
@@ -365,6 +369,8 @@ def _check_2_3(index: int, raw: Mapping) -> None:
     )
     for name in families[raw["family"]]:
         _require(index, raw, name)
+    if "e" in raw:  # the row key reads it in every family
+        _require(index, raw, "e")
     if "weights" in raw:
         _require(
             index, raw, "weights",
@@ -376,32 +382,32 @@ def _check_2_3(index: int, raw: Mapping) -> None:
 
 
 # the rational base's degree window, widest at n = 3
-_RATIONAL_D_WINDOW = classify.quadric_params(0, 3).d_range
+_RATIONAL_D_WINDOW = classify.QuadricParams(0, 3).d_range
 
 
 def _check_3_25(index: int, raw: Mapping) -> None:
-    """A 3.25 row's ascending splitting and status text; the degree lies in the
+    """A 3.25 row's ascending splitting and printable status; the degree lies in the
     rational-base window and the splitting sums to e."""
     _require(
         index, raw, "splitting",
         _is_splitting, "an integer array, ascending, with at least 4 entries",
     )
-    _require(index, raw, "status", lambda v: isinstance(v, str), "a string")
+    _require(index, raw, "status", _is_text, "printable text")
     window = _RATIONAL_D_WINDOW
     _require(index, raw, "d", window.__contains__, f"in [{window[0]}, {window[-1]}]")
-    # _is_splitting has checked n >= 3, so the parameters need no validation
     e = classify.QuadricParams(0, len(raw["splitting"]) - 1).e(raw["d"])
     _require(index, raw, "splitting", lambda v: sum(v) == e, f"an array summing to e = {e}")
 
 
-def _key_2_3(raw: Mapping) -> str:
-    return f"{raw['family']}-{raw['row']}" + (f"/e={raw['e']}" if "e" in raw else "")
+def _check_4_4(index: int, raw: Mapping) -> None:
+    if "type" in raw:  # the row key reads it
+        _require(index, raw, "type", _is_text, "printable text")
 
 
 TABLES: dict[str, TableSpec] = {
     "2.3": TableSpec(
         fields=("row", "A2"),
-        key=_key_2_3,
+        key=lambda raw: f"{raw['family']}-{raw['row']}" + (f"/e={raw['e']}" if "e" in raw else ""),
         recompute=_verify_2_3,
         check=_check_2_3,
     ),
@@ -433,6 +439,7 @@ TABLES: dict[str, TableSpec] = {
             _verify_exact_list,
             lambda: [(s.g_C, s.e, s.b, s.d) for s in classify.veronese_solutions()],
         ),
+        check=_check_4_4,
     ),
 }
 TABLE_IDS = tuple(TABLES)

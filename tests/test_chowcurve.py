@@ -444,7 +444,7 @@ class TestCorank1:
         checked = 0
         for d in range(1, 13):
             for n in range(3, 15):
-                params = classify.quadric_params(0, n)
+                params = classify.QuadricParams(0, n)
                 if params.s(d) < 0:
                     continue
                 b = params.b(d)

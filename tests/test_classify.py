@@ -10,6 +10,7 @@ from genus3.classify import (
     FloorBoundRule,
     NormalObstructionRule,
     ParamConsistencyRule,
+    QuadricParams,
     RuleResult,
     TruncationPositivityRule,
     UnboundedEnumerationError,
@@ -18,11 +19,10 @@ from genus3.classify import (
     default_n_range,
     delta_bounds,
     enumerate_quadric_splittings,
-    quadric_params,
     reduction_tuples,
     veronese_solutions,
 )
-from genus3.chowcurve import ProjBundleModel, SplittingType, quadric_invariants
+from genus3.chowcurve import BaseCurve, ProjBundleModel, SplittingType, quadric_invariants
 
 # admitted splitting lists per degree, from the published table
 TABLE_SPLITTINGS = {
@@ -52,55 +52,86 @@ def exclusion(candidates, splitting):
 
 class TestQuadricParams:
     def test_rational_base_window(self):
-        params = quadric_params(0, 3)
+        params = QuadricParams(0, 3)
         assert params.d_range == range(1, 13)
         assert params.e(8) == 4 and params.b(8) == 0 and params.s(8) == 8
         assert params.e(12) == 8 and params.b(12) == -4 and params.s(12) == 0
 
     def test_elliptic_base_window(self):
-        params = quadric_params(1, 3)
+        params = QuadricParams(1, 3)
         assert params.d_range == range(1, 7)
         assert params.e(2) == 0 and params.b(2) == 2
 
     def test_higher_genus_is_empty(self):
         for n in (3, 4, 5):
-            assert len(quadric_params(2, n).d_range) == 0
-            assert len(quadric_params(3, n).d_range) == 0
+            assert len(QuadricParams(2, n).d_range) == 0
+            assert len(QuadricParams(3, n).d_range) == 0
 
     def test_big_degrees_force_small_dimension(self):
         for d in (11, 12):
-            assert all(quadric_params(0, n).s(d) < 0 for n in (4, 5, 6))
-            assert quadric_params(0, 3).s(d) >= 0
+            assert all(QuadricParams(0, n).s(d) < 0 for n in (4, 5, 6))
+            assert QuadricParams(0, 3).s(d) >= 0
 
     def test_smooth_fibration_degree(self):
         # s = 0 exactly at d = 8n/(n-1) for a rational base and
         # d = 4n/(n-1) for an elliptic one
         for n in range(3, 8):
             for g_c, num in ((0, 8 * n), (1, 4 * n)):
-                params = quadric_params(g_c, n)
+                params = QuadricParams(g_c, n)
                 for d in range(1, 20):
                     assert (params.s(d) == 0) == (d * (n - 1) == num)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            quadric_params(0, 2)
+            QuadricParams(0, 2)
         with pytest.raises(ValueError):
-            quadric_params(-1, 3)
+            QuadricParams(-1, 3)
+
+    def test_parameter_map_matches_the_ring(self):
+        # e and b put into the ring's closed forms give back degree d, genus 3 and s
+        for g_c in range(4):
+            for n in range(3, 11):
+                params = QuadricParams(g_c, n)
+                for d in range(1, 41):
+                    bundle = ProjBundleModel(BaseCurve(g_c), n + 1, params.e(d))
+                    got = quadric_invariants(bundle, params.b(d))
+                    assert got == (d, 3, params.s(d)), (g_c, n, d)
+
+    def test_d_range_ends_at_the_last_degree_with_s_nonnegative(self):
+        for g_c in range(4):
+            for n in range(3, 41):
+                params = QuadricParams(g_c, n)
+                stop = 1
+                while params.s(stop) >= 0:
+                    stop += 1
+                got = params.d_range
+                assert (got.start, got.stop) == (1, stop), (g_c, n)
+
+    def test_default_n_range_ends_at_the_last_n_with_s_nonnegative(self):
+        # s = 2e + (n+1)b with e and b fixed by d, scanned from n = 1, where s = 8:
+        # a degree with no n >= 3 left (d >= 17) gets the stop 2, below the start
+        p = QuadricParams(0, 3)
+        for d in range(1, 61):
+            nonnegative = [n for n in range(1, 100) if 2 * p.e(d) + (n + 1) * p.b(d) >= 0]
+            # where s never falls, the cited caps end the range
+            last = classify.DEFAULT_N_CAP if nonnegative[-1] == 99 else nonnegative[-1]
+            got = default_n_range(d)
+            assert (got.start, got.stop) == (3, last + 1), d
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: quadric_params(0, 3.5), "fibration dimension n must be of type int, got 3.5"),
-        (lambda: quadric_params(True, 3), "base genus must be of type int, got True"),
-        (lambda: quadric_params(0, "3"), "fibration dimension n must be of type int, got '3'"),
+        (lambda: QuadricParams(0, 3.5), "fibration dimension n must be of type int, got 3.5"),
+        (lambda: QuadricParams(True, 3), "base genus must be of type int, got True"),
+        (lambda: QuadricParams(0, "3"), "fibration dimension n must be of type int, got '3'"),
         (lambda: default_n_range(9.0), "degree must be of type int, got 9.0"),
         (lambda: default_n_range(True), "degree must be of type int, got True"),
     ],
     ids=["params-n-float", "params-genus-bool", "params-n-str", "n-range-float", "n-range-bool"],
 )
 def test_parameter_helpers_take_exact_ints(call, message):
-    # no QuadricParams(n=3.5), no TypeError from range()
+    # the constructor rejects n = 3.5, and range() never sees a float
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
@@ -241,8 +272,8 @@ class TestEnumeration:
         # above degree 8 the range ends at the last n with s >= 0
         for d in range(9, 13):
             n_max = max(default_n_range(d))
-            assert quadric_params(0, n_max).s(d) >= 0
-            assert quadric_params(0, n_max + 1).s(d) < 0
+            assert QuadricParams(0, n_max).s(d) >= 0
+            assert QuadricParams(0, n_max + 1).s(d) < 0
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_admitted_set_is_stable_as_the_n_range_grows(self, d):
@@ -533,7 +564,7 @@ def truncation_box():
 
 
 def truncation_excludes(d, degrees):
-    p = quadric_params(0, len(degrees) - 1)
+    p = QuadricParams(0, len(degrees) - 1)
     trace = TruncationPositivityRule().check(SplittingType(degrees), d=d, b=p.b(d), s=p.s(d))
     return trace is not None
 
@@ -608,7 +639,7 @@ class TestTruncationRule:
         checked = 0
         for d in range(1, 13):
             for n in range(3, 15):
-                params = quadric_params(0, n)
+                params = QuadricParams(0, n)
                 e, b, s = params.e(d), params.b(d), params.s(d)
                 if s < 0:
                     continue

@@ -15,6 +15,7 @@ import pytest
 
 from genus3 import chowcurve, classify, surflat, tablecli
 from genus3.chowcurve import BaseCurve, DivisorClass, ProjBundleModel, SplittingType
+from genus3.classify import QuadricParams
 from genus3.surflat import WeightSequence, make_plane
 
 DATACLASS_SCAN = """
@@ -92,6 +93,10 @@ VALIDATING = {
     "ProjBundleModel-rank": (ProjBundleModel(BaseCurve(0), 3, 2), "rank", 1),
     "ProjBundleModel-c1": (ProjBundleModel(BaseCurve(0), 3, 2), "c1", 2.0),
     "ProjBundleModel-base": (ProjBundleModel(BaseCurve(0), 3, 2), "base", 0),
+    "QuadricParams-n": (QuadricParams(0, 3), "n", 2),
+    "QuadricParams-g_C": (QuadricParams(0, 3), "g_C", -1),
+    "QuadricParams-n-float": (QuadricParams(0, 3), "n", 3.5),
+    "QuadricParams-g_C-bool": (QuadricParams(0, 3), "g_C", True),
 }
 
 
@@ -114,6 +119,7 @@ def test_make_and_replace_validate(name):
         SplittingType((0, 1, 1)),
         ProjBundleModel.split((0, 1, 1)),
         ProjBundleModel(BaseCurve(2), 3, -1),
+        QuadricParams(1, 4),
         WeightSequence((2, 1)),
         make_plane().with_polarization((4,)),
         SELFTEST,

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genus3 import classify, tablecli
@@ -168,6 +169,11 @@ class TestLoadFixture:
             ("2.3", 25, "expect_discrepancy", "false"),
             ("2.3", 25, "expect_discrepancy", 1),
             ("2.3", 25, "expect_discrepancy", None),
+            # text that reaches a row key or a CSV field: a line break would split a record
+            ("4.4", 0, "type", "I\rb"),
+            ("4.4", 0, "type", [1, 2]),
+            ("2.3", 0, "e", "1\r2"),  # family I reads no e, but the row key does
+            ("3.25", 0, "status", "type I\nb"),
         ],
     )
     def test_malformed_field_names_row_and_field(
@@ -774,6 +780,106 @@ VERIFY_DIGESTS = [
 def test_verify_output_is_pinned(capsys, table, fmt, digest):
     assert main(["verify", "--table", table, "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def run_main(argv):
+    """``main(argv)``'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def assert_csv_matches_json(csv_text, records):
+    """Each CSV record, as the csv module reads it, is its JSON record's values as text."""
+    header, *rows = csv.reader(io.StringIO(csv_text, newline=""))
+    assert all(sorted(record) == sorted(header) for record in records)
+    assert rows == [["" if r[name] is None else str(r[name]) for name in header] for r in records]
+
+
+def flat_candidate(record):
+    """An enumerate JSON record with its splitting and rule written as the CSV writes them."""
+    rule = record["rule"] or dict.fromkeys(("rule", "detail", "citation"))
+    return {**record, "splitting": " ".join(map(str, record["splitting"])), **rule}
+
+
+@pytest.mark.parametrize("table", tablecli.TABLE_IDS)
+def test_verify_csv_reads_back_as_the_json_verdicts(table):
+    status, csv_text, _ = run_main(["verify", "--table", table, "--format", "csv"])
+    assert status == 0
+    _, json_text, _ = run_main(["verify", "--table", table, "--format", "json"])
+    assert_csv_matches_json(csv_text, json.loads(json_text)["verdicts"])
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_enumerate_csv_reads_back_as_the_json_candidates(d):
+    status, csv_text, _ = run_main(["enumerate", "--d", str(d), "--format", "csv"])
+    assert status == 0
+    _, json_text, _ = run_main(["enumerate", "--d", str(d), "--format", "json"])
+    assert_csv_matches_json(csv_text, [flat_candidate(r) for r in json.loads(json_text)])
+
+
+BUNDLED_PARAMS = {t: [row.params for row in bundled_rows(t)] for t in tablecli.TABLE_IDS}
+# control, line-breaking, quoting and non-ASCII characters
+odd_chars = st.sampled_from("\r\n\t\x00\x1b\x85\u2028\u00e9\u2603\",; Ia1")
+odd_texts = st.text(odd_chars, min_size=1, max_size=4)
+other_values = st.sampled_from([None, True, 1.5, "1", [], {}, [1, 2], -7])
+
+
+def mutated(table, index, field, value):
+    """The bundled rows of ``table`` with row ``index``'s ``field`` set to ``value``."""
+    rows = [dict(params) for params in BUNDLED_PARAMS[table]]
+    rows[index][field] = value
+    return table, rows
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A bundled fixture with one field dropped, retyped or given odd text, or one row repeated."""
+    table = draw(st.sampled_from(tablecli.TABLE_IDS))
+    rows = [dict(params) for params in BUNDLED_PARAMS[table]]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    field = draw(st.sampled_from(sorted(row)))
+    kind = draw(st.sampled_from(("drop", "retype", "text", "repeat")))
+    if kind == "drop":
+        del row[field]
+    elif kind == "retype":
+        row[field] = draw(other_values)
+    elif kind == "text":
+        value = row[field] if isinstance(row[field], str) else ""
+        at = draw(st.integers(0, len(value)))
+        row[field] = value[:at] + draw(odd_texts) + value[at:]
+    else:
+        rows.append(dict(row))
+    return table, rows
+
+
+@pytest.fixture(scope="module")
+def fixture_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "fixture.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_fixtures())
+@example(mutated("4.4", 0, "type", "I\rb"))
+@example(mutated("4.4", 0, "type", [1, 2]))
+@example(mutated("2.3", 0, "e", "1\r2"))
+@example(mutated("3.25", 0, "status", "a\u2028b"))
+def test_a_mutated_fixture_is_verified_or_named_in_one_line(fixture_path, fixture):
+    # exit 2 prints one error line and no report; exits 0 and 1 print reports that
+    # parse, and whose CSV reads back as the JSON
+    table, rows = fixture
+    fixture_path.write_text(json.dumps({"table": table, "rows": rows}))
+    argv = ["verify", "--table", table, "--fixture", str(fixture_path), "--format"]
+    results = {fmt: run_main(argv + [fmt]) for fmt in ("table", "json", "csv")}
+    statuses = {status for status, _, _ in results.values()}
+    assert len(statuses) == 1 and statuses <= {0, 1, 2}
+    for status, out, err in results.values():
+        assert "internal error" not in err
+        if status == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if statuses != {2}:
+        assert_csv_matches_json(results["csv"][1], json.loads(results["json"][1])["verdicts"])
 
 
 def reference_text(candidates):
