@@ -13,6 +13,7 @@ source classification's numbering.
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import repeat
@@ -509,6 +510,15 @@ def enumerate_quadric_splittings(
     the published table at this degree; admitted candidates found there
     get that text attached, all other admitted candidates are flagged
     beyond-paper.
+
+    The cyclic garbage collector is off while the tuples are generated and
+    the candidates built.  A ``Candidate`` is a tuple subclass, which the
+    collector never untracks, so each collection would scan the growing
+    list again, to free nothing: the enumeration makes no reference cycles
+    (``gc.collect()`` after its results are dropped finds none), and
+    reference counting frees all it allocates.  The switch is
+    process-wide; on return or on an exception the collector is turned
+    back on if it was on at entry.
     """
     chowcurve.require_ints("degree", (d,))
     if d < 1:
@@ -531,26 +541,32 @@ def enumerate_quadric_splittings(
     # each rule's check is bound once per call, not once per candidate
     checks = [rule.check for rule in rules]
     param_checks, splitting_checks = checks[:lead], checks[lead:]
-    # on a rational base e = d - 4 at every n, so one call serves every n
-    generated = _generate_splittings(d, params[0].e(d), dims)
-    candidates = []
-    for p in params:
-        n, b, s = p.n, p.b(d), p.s(d)
-        trace = _first_failure(param_checks, None, d, b, s)
-        if trace is not None:
-            # all five Candidate fields, built in C: no Python-level call per tuple
-            fields = zip(generated[n], repeat(d), repeat(trace), repeat(None), repeat(False))
-            candidates.extend(map(tuple.__new__, repeat(Candidate), fields))
-            continue
-        for degrees in generated[n]:
-            trace = _first_failure(splitting_checks, degrees, d, b, s)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # on a rational base e = d - 4 at every n, so one call serves every n
+        generated = _generate_splittings(d, params[0].e(d), dims)
+        candidates = []
+        for p in params:
+            n, b, s = p.n, p.b(d), p.s(d)
+            trace = _first_failure(param_checks, None, d, b, s)
             if trace is not None:
-                candidates.append(tuple.__new__(Candidate, (degrees, d, trace, None, False)))
+                # all five Candidate fields, built in C: no Python-level call per tuple
+                fields = zip(generated[n], repeat(d), repeat(trace), repeat(None), repeat(False))
+                candidates.extend(map(tuple.__new__, repeat(Candidate), fields))
                 continue
-            known = None if paper_rows is None else paper_rows.get(degrees)
-            candidates.append(
-                Candidate(degrees, d, None, known, paper_rows is not None and known is None)
-            )
+            for degrees in generated[n]:
+                trace = _first_failure(splitting_checks, degrees, d, b, s)
+                if trace is not None:
+                    candidates.append(tuple.__new__(Candidate, (degrees, d, trace, None, False)))
+                    continue
+                known = None if paper_rows is None else paper_rows.get(degrees)
+                candidates.append(
+                    Candidate(degrees, d, None, known, paper_rows is not None and known is None)
+                )
+    finally:
+        if collecting:
+            gc.enable()
     return candidates
 
 

@@ -281,12 +281,22 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         recomputed, expected = (result.AA, result.g), (params["A2"], 3)
         flagged = recomputed != expected
         whitelisted = flagged and params.get("expect_discrepancy") is True
+        try:
+            text = f"A^2={result.AA}, g={result.g}"
+        except ValueError as exc:  # every loaded int prints, but its square may not
+            read = surflat.FAMILY_FIELDS[params["family"]] or ("A2",)  # family I reads A2
+            read += ("weights",) if "weights" in params else ()
+            raise FixtureError(
+                f"row {index}: {row.key}: recomputed (A^2, g) has more than "
+                f"{sys.get_int_max_str_digits()} digits, too long to print; it is computed "
+                f"from the fields {', '.join(map(repr, read))}"
+            ) from exc
         yield Verdict(
             key=row.key,
             verdict="discrepancy" if flagged else "verified",
             note=f"recomputed (A^2, g) = {recomputed}, table says {expected}" if flagged else "",
             expected=f"A^2={expected[0]}, g=3",
-            recomputed=f"A^2={result.AA}, g={result.g}",
+            recomputed=text,
             whitelisted=whitelisted,
             unexpected=flagged and not whitelisted,
         )

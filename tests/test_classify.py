@@ -1,9 +1,10 @@
+import gc
 import random
 from itertools import combinations_with_replacement
 
 import pytest
 
-from genus3 import classify
+from genus3 import classify, tablecli
 from genus3.classify import (
     CitedCapRule,
     Corank1EmptyRule,
@@ -699,6 +700,56 @@ class TestDeepFibreDimension:
         candidates = enumerate_quadric_splittings(d, n_range=range(1200, 1201))
         assert len(candidates) == count
         assert all(len(c.splitting) == 1201 and sum(c.splitting) == d - 4 for c in candidates)
+
+
+class TestCollectorSwitch:
+    """The cyclic collector is off during an enumeration and the caller's setting holds."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_setting_holds(self, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        enumerate_quadric_splittings(9, n_range=range(3, 15))
+        assert gc.isenabled() is enabled
+
+    def test_a_rule_that_raises_partway_leaves_the_collector_on(self, collector):
+        class Raises:
+            name = "raises"
+            calls = 0
+
+            def check(self, splitting, d, b, s):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("raised by the third check")
+                return None
+
+        gc.enable()
+        raises = Raises()
+        rules = default_rules()
+        rules.insert(3, raises)
+        with pytest.raises(RuntimeError, match="third check"):
+            enumerate_quadric_splittings(5, rules=rules)
+        assert raises.calls == 3 and gc.isenabled()
+
+    def test_an_enumeration_leaves_no_cycles(self):
+        rows = tablecli.load_fixture(tablecli.packaged_fixture_path("3.25"), "3.25")
+        gc.collect()
+        for d in range(1, 13):
+            paper_rows = {
+                tuple(r.params["splitting"]): r.params["status"] for r in rows if r.params["d"] == d
+            }
+            results = [
+                enumerate_quadric_splittings(d, n_range=range(3, 15)),
+                enumerate_quadric_splittings(d, paper_rows=paper_rows),
+            ]
+            assert all(results)
+            del results
+        assert gc.collect() == 0
 
 
 class TestVeroneseSolutions:

@@ -22,6 +22,7 @@ STDLIB_IMPORTS = (
     "collections.abc",
     "csv",
     "functools",
+    "gc",
     "io",
     "itertools",
     "json",

@@ -174,6 +174,8 @@ class TestLoadFixture:
             ("4.4", 0, "type", [1, 2]),
             ("2.3", 0, "e", "1\r2"),  # family I reads no e, but the row key does
             ("3.25", 0, "status", "type I\nb"),
+            # the weight loads, but A^2 = 4 - 10**8400 has too many digits to print
+            ("2.3", 4, "weights", [10**4200]),
         ],
     )
     def test_malformed_field_names_row_and_field(
@@ -324,6 +326,9 @@ class TestVerify:
         assert report.counts == {"verified": 31, "discrepancy": 1}
         flagged = [v for v in report.verdicts if v.verdict == "discrepancy"]
         assert flagged[0].key == "VII-3/e=1" and flagged[0].whitelisted
+        # the flag blesses these numbers only: any other discrepancy on the row shows here
+        assert flagged[0].recomputed == "A^2=15, g=8"
+        assert flagged[0].note == "recomputed (A^2, g) = (15, 8), table says (3, 3)"
 
     def test_2_3_fails_without_whitelist(self):
         rows = []
@@ -824,23 +829,28 @@ BUNDLED_PARAMS = {t: [row.params for row in bundled_rows(t)] for t in tablecli.T
 odd_chars = st.sampled_from("\r\n\t\x00\x1b\x85\u2028\u00e9\u2603\",; Ia1")
 odd_texts = st.text(odd_chars, min_size=1, max_size=4)
 other_values = st.sampled_from([None, True, 1.5, "1", [], {}, [1, 2], -7])
+# past a machine word, and over half the 4,300 digits the interpreter prints of an int:
+# each loads, but its square does not print
+ints_past_range = st.sampled_from([-(10**4200), -(2**64), 2**64, 10**4200])
 
 
-def mutated(table, index, field, value):
-    """The bundled rows of ``table`` with row ``index``'s ``field`` set to ``value``."""
+def mutated(table, index, **changes):
+    """The bundled rows of ``table`` with row ``index``'s fields set as ``changes`` says."""
     rows = [dict(params) for params in BUNDLED_PARAMS[table]]
-    rows[index][field] = value
+    rows[index].update(changes)
     return table, rows
 
 
 @st.composite
 def mutated_fixtures(draw):
-    """A bundled fixture with one field dropped, retyped or given odd text, or one row repeated."""
+    """A bundled fixture with one field dropped, retyped, given odd text or an int past its
+    range, or one row repeated."""
     table = draw(st.sampled_from(tablecli.TABLE_IDS))
     rows = [dict(params) for params in BUNDLED_PARAMS[table]]
     row = rows[draw(st.integers(0, len(rows) - 1))]
-    field = draw(st.sampled_from(sorted(row)))
-    kind = draw(st.sampled_from(("drop", "retype", "text", "repeat")))
+    kind = draw(st.sampled_from(("drop", "retype", "text", "int past range", "repeat")))
+    numeric = [name for name in sorted(row) if type(row[name]) in (int, list)]
+    field = draw(st.sampled_from(numeric if kind == "int past range" else sorted(row)))
     if kind == "drop":
         del row[field]
     elif kind == "retype":
@@ -849,6 +859,12 @@ def mutated_fixtures(draw):
         value = row[field] if isinstance(row[field], str) else ""
         at = draw(st.integers(0, len(value)))
         row[field] = value[:at] + draw(odd_texts) + value[at:]
+    elif kind == "int past range":  # an int field, or one entry of an int array
+        value = draw(ints_past_range)
+        if isinstance(row[field], list):
+            at = draw(st.integers(0, len(row[field])))  # an empty array gets one entry
+            value = row[field][:at] + [value] + row[field][at + 1:]
+        row[field] = value
     else:
         rows.append(dict(row))
     return table, rows
@@ -861,10 +877,11 @@ def fixture_path(tmp_path_factory):
 
 @settings(max_examples=100, deadline=None)
 @given(mutated_fixtures())
-@example(mutated("4.4", 0, "type", "I\rb"))
-@example(mutated("4.4", 0, "type", [1, 2]))
-@example(mutated("2.3", 0, "e", "1\r2"))
-@example(mutated("3.25", 0, "status", "a\u2028b"))
+@example(mutated("4.4", 0, type="I\rb"))
+@example(mutated("4.4", 0, type=[1, 2]))
+@example(mutated("2.3", 0, e="1\r2"))
+@example(mutated("3.25", 0, status="a\u2028b"))
+@example(mutated("2.3", 4, A2_min=10**4200, weights=[10**4200]))
 def test_a_mutated_fixture_is_verified_or_named_in_one_line(fixture_path, fixture):
     # exit 2 prints one error line and no report; exits 0 and 1 print reports that
     # parse, and whose CSV reads back as the JSON
