@@ -150,6 +150,11 @@ def multiply_classes(bundle: ProjBundleModel, factors: Sequence[DivisorClass]) -
     a*h*H^(k+1) + (a*f + b*h)*H^k*F, so the factors, each read as a pair
     (h, f), fold into one pair of coefficients; the relation is applied
     once, at the end.
+
+    It does not type-check its factors: it is the ring's inner product, and
+    its public callers (``sectional_genus_divisor``, ``veronese_invariants``)
+    check theirs.  The element is built in C by ``tuple.__new__``, with no
+    Python-level ``__new__`` frame; ``ChowElement`` validates nothing.
     """
     if not factors:
         raise ValueError("factors must be non-empty")
@@ -158,10 +163,10 @@ def multiply_classes(bundle: ProjBundleModel, factors: Sequence[DivisorClass]) -
         a, b = a * h, a * f + b * h
     degree = len(factors)
     if degree < bundle.rank:
-        return ChowElement(degree, a, b)
+        return tuple.__new__(ChowElement, (degree, a, b))
     if degree == bundle.rank:
-        return ChowElement(degree, 0, a * bundle.c1 + b)
-    return ChowElement(degree, 0, 0)
+        return tuple.__new__(ChowElement, (degree, 0, a * bundle.c1 + b))
+    return tuple.__new__(ChowElement, (degree, 0, 0))
 
 
 def top_degree(bundle: ProjBundleModel, element: ChowElement) -> int:
@@ -184,7 +189,7 @@ def canonical_class(bundle: ProjBundleModel) -> DivisorClass:
     The relative-canonical shape is pinned down by the rank-3 identity
     K + 2*(2H + bF) = H exactly when c1 + 2b = 0, which the tests enforce.
     """
-    return DivisorClass(-bundle.rank, 2 * bundle.base.genus - 2 + bundle.c1)
+    return tuple.__new__(DivisorClass, (-bundle.rank, 2 * bundle.base.genus - 2 + bundle.c1))
 
 
 class QuadricInvariants(namedtuple("QuadricInvariants", "d g s")):
@@ -207,8 +212,9 @@ def quadric_invariants(bundle: ProjBundleModel, b: int) -> QuadricInvariants:
     if type(b) is not int:
         require_ints("twist b", (b,))
     e = bundle.c1
-    # positional: keyword arguments make this call about a third slower
-    return QuadricInvariants(2 * e + b, 2 * bundle.base.genus - 1 + e + b, 2 * e + bundle.rank * b)
+    fields = (2 * e + b, 2 * bundle.base.genus - 1 + e + b, 2 * e + bundle.rank * b)
+    # built in C, as classify's Candidate: QuadricInvariants has no __new__ to run
+    return tuple.__new__(QuadricInvariants, fields)
 
 
 def sectional_genus_divisor(
@@ -218,12 +224,16 @@ def sectional_genus_divisor(
 
     Computed by adjunction inside P(E):
         2g - 2 = (K_P + M + (n-1)L) * L^(n-1) * M,  n = rank - 1.
+    ``member`` and ``polarization`` are (h, f) pairs, a ``DivisorClass`` or
+    a plain tuple; a coefficient whose type is not exactly int is rejected.
     Raises when the adjoint number is odd (no genus interpretation).
     """
     n = bundle.rank - 1
     k_h, k_f = canonical_class(bundle)
     (m_h, m_f), (l_h, l_f) = member, polarization
-    adjoint = DivisorClass(k_h + m_h + (n - 1) * l_h, k_f + m_f + (n - 1) * l_f)
+    if not type(m_h) is type(m_f) is type(l_h) is type(l_f) is int:
+        require_ints("member and polarization coefficients", (m_h, m_f, l_h, l_f))
+    adjoint = (k_h + m_h + (n - 1) * l_h, k_f + m_f + (n - 1) * l_f)
     factors = [adjoint, *[polarization] * (n - 1), member]
     value = top_degree(bundle, multiply_classes(bundle, factors))
     if value % 2 != 0:
@@ -252,9 +262,10 @@ def veronese_invariants(bundle: ProjBundleModel, b: int) -> VeroneseInvariants:
         raise ValueError(f"rank must be 3 for a Veronese fibration model, got {bundle.rank}")
     if type(b) is not int:
         require_ints("twist b", (b,))
-    polarization = DivisorClass(2, b)
+    polarization = (2, b)
     d = top_degree(bundle, multiply_classes(bundle, [polarization] * 3))
-    return VeroneseInvariants(d, sectional_genus_divisor(bundle, polarization, polarization))
+    g = sectional_genus_divisor(bundle, polarization, polarization)
+    return tuple.__new__(VeroneseInvariants, (d, g))
 
 
 def h0_line_bundle_sum_P1(degrees: Iterable[int]) -> int:
@@ -310,7 +321,7 @@ def truncation_positivity(splitting: Sequence[int], b: int) -> TruncationViolati
         top += splitting[n + 1 - k]
         number = d - 2 * top
         if number <= 0:
-            return TruncationViolation(k, number)
+            return tuple.__new__(TruncationViolation, (k, number))
     return None
 
 

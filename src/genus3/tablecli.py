@@ -642,6 +642,16 @@ def oracle_selftest() -> SelfTestReport:
     of three integers is fixed by its values on a 2 × 2 × 2 box, which the
     grid contains, so routes that agree on the grid agree everywhere.
 
+    The argument extends to every rank >= 3.  A factor H is the pair (1, 0):
+    in the ring it leaves the fold (a, b) -> (a·h, a·f + b·h) unchanged, and
+    in the oracle it only shifts every exponent by one.  So the rank enters
+    the ring's and the oracle's numbers only through the final H^rank
+    reduction and through K's H-coefficient -rank, which the adjoint's
+    (rank-2)·H and the member's 2H cancel; the closed forms' d and 2g - 2
+    do not read it.  ``test_self_test_routes_agree_at_rank_8`` in
+    tests/test_properties.py runs the three routes on the same (g(C), c1, b)
+    grid at rank 8 and finds no mismatch.
+
     The loops run rank, c1, b, g(C), outermost first, so each piece of
     work sits in the outermost loop that fixes what it reads.  Per rank:
     for every b, the oracle's tail H^(rank-2)·(2H + bF), expanded in
@@ -659,9 +669,10 @@ def oracle_selftest() -> SelfTestReport:
     against oracle, by
     ``test_ring_matches_oracle_on_self_test_products_with_an_h_part`` in
     tests/test_properties.py.  No ring value is shared, and every grid
-    point still runs the ring route (closed forms, both products, the
-    adjoint class) on its own bundle.  The deviation is only worked out at
-    a point where a comparison fails.
+    point still runs the ring route (closed forms, both products, each
+    integrated by ``top_degree``, the adjoint as a plain (h, f) pair) on its
+    own bundle.  The deviation is only worked out at a point where a
+    comparison fails.
     """
     grid_points = grid_mismatches = max_deviation = 0
     veronese_points = veronese_mismatches = 0
@@ -690,9 +701,8 @@ def oracle_selftest() -> SelfTestReport:
                     d, g, s = quadric_invariants(bundle, b)
                     g2_naive = adjoint_h * d_naive + (k_f + b) * x_f
                     d_ring = top_degree(bundle, multiply_classes(bundle, ring_degree))
-                    adjoint_cls = DivisorClass(adjoint_h, k_f + b)
                     g2_ring = top_degree(
-                        bundle, multiply_classes(bundle, [adjoint_cls, *ring_tail])
+                        bundle, multiply_classes(bundle, [(adjoint_h, k_f + b), *ring_tail])
                     )
                     g2 = 2 * g - 2
                     if d != d_naive or g2 != g2_naive or d != d_ring or g2 != g2_ring:

@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 import random
 from itertools import combinations_with_replacement
 
@@ -10,7 +12,10 @@ from genus3.chowcurve import (
     ChowElement,
     DivisorClass,
     ProjBundleModel,
+    QuadricInvariants,
     SplittingType,
+    TruncationViolation,
+    VeroneseInvariants,
     base_locus_index_set,
     canonical_class,
     corank1_emptiness,
@@ -29,6 +34,7 @@ from genus3.tablecli import naive_product, naive_reduce, naive_top_degree
 
 H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
+RATIONAL_RANK3 = ProjBundleModel(BaseCurve(0), 3, 2)
 
 
 def split_bundle(*degrees):
@@ -82,11 +88,16 @@ class TestTypes:
             (lambda: quadric_invariants(ProjBundleModel(BaseCurve(0), 4, 6), 2.5), "2.5"),
             (lambda: quadric_invariants(ProjBundleModel(BaseCurve(0), 4, 6), True), "True"),
             (lambda: veronese_invariants(ProjBundleModel(BaseCurve(0), 3, 2), -1.0), "-1.0"),
+            # a float coefficient once gave the float genus 1.0, and a bool passed as 1
+            (lambda: sectional_genus_divisor(RATIONAL_RANK3, DivisorClass(2.0, 0), H), "2.0"),
+            (lambda: sectional_genus_divisor(RATIONAL_RANK3, DivisorClass(2, True), H), "True"),
+            (lambda: sectional_genus_divisor(RATIONAL_RANK3, (2, 0), ("1", 0)), "'1'"),
         ],
         ids=[
             "genus-float", "genus-bool", "genus-str", "rank-float", "rank-bool",
             "c1-bool", "c1-float", "weights-mixed", "weights-bool", "polarization-str",
             "quadric-b-float", "quadric-b-bool", "veronese-b-float",
+            "member-float", "member-bool", "polarization-str-coefficient",
         ],
     )
     def test_integer_fields_must_be_ints(self, build, bad):
@@ -111,6 +122,55 @@ class TestTypes:
         results = (3 * (H - F), (H - F) * 3, H + F, H - F, -H)
         assert results[0] == results[1] == DivisorClass(3, -3)
         assert all(type(value) is DivisorClass for value in results)
+
+
+class TestRecordTypes:
+    # the ring builds these records with tuple.__new__, which skips any __new__ they
+    # define; none defines one, and each record still behaves as its class built it
+    RECORDS = (ChowElement, QuadricInvariants, DivisorClass, VeroneseInvariants, TruncationViolation)
+
+    def records(self):
+        """(expected class, record) for each record-building function on a small grid."""
+        for g_c in (0, 1):
+            for rank in (2, 3, 4):
+                for c1 in (-2, 0, 3):
+                    bundle = ProjBundleModel(BaseCurve(g_c), rank, c1)
+                    yield DivisorClass, canonical_class(bundle)
+                    # below, at and above the top degree
+                    for k in (1, rank, rank + 1):
+                        factors = [H + F, 2 * H - F, H][:k] + [F] * (k - 3)
+                        yield ChowElement, multiply_classes(bundle, factors)
+                    for b in (-2, 1):
+                        yield QuadricInvariants, quadric_invariants(bundle, b)
+                        if rank == 3:
+                            yield VeroneseInvariants, veronese_invariants(bundle, b)
+        for degrees, b in (((-1, 0, 1, 1, 1), 2), ((-1, 2, 2), 1), ((-2, 0, 0, 1), 0)):
+            yield TruncationViolation, truncation_positivity(SplittingType(degrees), b)
+
+    def test_no_record_validates_in_new(self):
+        assert not any("__new__" in vars(cls) for cls in self.RECORDS)
+
+    def test_records_keep_their_exact_types(self):
+        seen = set()
+        for cls, record in self.records():
+            assert type(record) is cls, record
+            seen.add(cls)
+            assert record == cls(**record._asdict())
+            rebuilt = copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+            assert all(type(x) is cls and x == record for x in rebuilt)
+        assert seen == set(self.RECORDS)
+
+    def test_plain_pairs_give_the_same_genus(self):
+        for g_c in (0, 1, 2):
+            for rank in (2, 3, 4, 5):
+                for c1 in (-3, 0, 2):
+                    bundle = ProjBundleModel(BaseCurve(g_c), rank, c1)
+                    for member in ((2, -1), (1, 3), (0, 1)):
+                        for polarization in ((1, 0), (2, 1)):
+                            genus = sectional_genus_divisor(bundle, member, polarization)
+                            assert type(genus) is int
+                            classes = DivisorClass(*member), DivisorClass(*polarization)
+                            assert genus == sectional_genus_divisor(bundle, *classes)
 
 
 class TestMultiply:

@@ -159,23 +159,38 @@ def test_ring_matches_oracle_on_self_test_products_with_an_h_part():
                         assert top_degree(bundle, product) == oracle, (rank, c1, b, h, f)
 
 
+def self_test_routes(rank, g_c, c1, b):
+    """The closed forms' (d, 2g - 2, s), then the ring's and the oracle's degree and adjoint number."""
+    bundle = ProjBundleModel(BaseCurve(g_c), rank, c1)
+    d, g, s = quadric_invariants(bundle, b)
+    k_h, k_f = canonical_class(bundle)
+    tail = [(1, 0)] * (rank - 2) + [(2, b)]
+    # the degree H·tail and the adjoint number (K + (2H + bF) + (rank-2)·H)·tail
+    firsts = ((1, 0), (k_h + rank, k_f + b))
+    ring = [
+        top_degree(bundle, multiply_classes(bundle, [DivisorClass(*f) for f in (first, *tail)]))
+        for first in firsts
+    ]
+    oracle = [naive_top_degree(rank, c1, [first, *tail]) for first in firsts]
+    return d, 2 * g - 2, s, *ring, *oracle
+
+
+def test_self_test_routes_agree_at_rank_8():
+    # oracle_selftest's rank argument, pinned at a rank outside its grid's 3..7:
+    # extra factors H leave the ring's fold as it is and shift the oracle's exponents
+    mismatches = 0
+    for g_c, c1, b in product(range(3), range(-6, 7), range(-6, 7)):
+        d, g2, _, ring_d, ring_g2, oracle_d, oracle_g2 = self_test_routes(8, g_c, c1, b)
+        mismatches += not (d == ring_d == oracle_d and g2 == ring_g2 == oracle_g2)
+    assert mismatches == 0
+
+
 def test_self_test_grid_routes_are_multi_affine():
     # oracle_selftest's proof argument: at every rank on its grid, each compared
     # quantity has zero second differences in g(C), in c1 and in b
     values = {}
     for rank, g_c, c1, b in product(range(3, 8), range(3), range(-6, 7), range(-6, 7)):
-        bundle = ProjBundleModel(BaseCurve(g_c), rank, c1)
-        d, g, s = quadric_invariants(bundle, b)
-        k_h, k_f = canonical_class(bundle)
-        tail = [(1, 0)] * (rank - 2) + [(2, b)]
-        # the degree H·tail and the adjoint number (K + (2H + bF) + (rank-2)·H)·tail
-        firsts = ((1, 0), (k_h + rank, k_f + b))
-        ring = [
-            top_degree(bundle, multiply_classes(bundle, [DivisorClass(*f) for f in (first, *tail)]))
-            for first in firsts
-        ]
-        oracle = [naive_top_degree(rank, c1, [first, *tail]) for first in firsts]
-        values[rank, g_c, c1, b] = (d, 2 * g - 2, s, *ring, *oracle)
+        values[rank, g_c, c1, b] = self_test_routes(rank, g_c, c1, b)
     differences = 0
     for (rank, *point), v0 in values.items():
         for axis in range(3):

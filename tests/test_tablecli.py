@@ -524,11 +524,16 @@ class TestSelfTest:
         assert report.passed is False
 
     def test_every_route_runs_its_pinned_number_of_times(self, monkeypatch):
-        # every grid point runs the ring route on its own bundle; the oracle's
-        # two products H*tail and F*tail, functions of (rank, c1, b), are
+        # every grid point runs the ring route on its own bundle, both products
+        # integrated by top_degree, and every bundle its own canonical class; the
+        # oracle's two products H*tail and F*tail, functions of (rank, c1, b), are
         # expanded once for all three base genera
         calls = dict.fromkeys(
-            ("multiply_classes", "quadric_invariants", "veronese_invariants", "naive_top_degree"), 0
+            (
+                "multiply_classes", "top_degree", "canonical_class",
+                "quadric_invariants", "veronese_invariants", "naive_top_degree",
+            ),
+            0,
         )
 
         def counted(name):
@@ -545,6 +550,8 @@ class TestSelfTest:
         assert oracle_selftest().passed
         assert calls == {
             "multiply_classes": 5070,
+            "top_degree": 5070,
+            "canonical_class": 195,
             "quadric_invariants": 2535,
             "veronese_invariants": 507,
             "naive_top_degree": 1690,
