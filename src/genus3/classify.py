@@ -416,8 +416,6 @@ def _generate_splittings(d: int, e: int, dims: Sequence[int]) -> dict[int, list[
     come from one ``_tails`` call.  Nothing outlives the call.
     """
     cap2 = (d - 1) // 2
-    if cap2 < 0:
-        raise UnboundedEnumerationError(f"no finite bounds for d = {d}")
     half = cap2 // 2
     width = max(dims) + 1
 

@@ -10,7 +10,7 @@ caller's.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .chowcurve import require_ints
 
@@ -189,67 +189,41 @@ def deg_t_enumeration() -> tuple[DegTRow, ...]:
     return tuple(rows)
 
 
-# The integer parameters each family of the surface table reads from a row.
-FAMILY_FIELDS = {
-    "I": (),
-    "II": ("KA", "KK"),
-    "III": ("KA",),
-    "IV": ("A2_min",),
-    "V": ("e", "x", "y"),
-    "VI": ("degree",),
-    "VII": ("e", "x", "y"),
-    "VIII": ("KKj", "a"),
+def _pairings(lattice: SurfaceLattice, a_prime: Sequence[int]) -> tuple[int, int, int]:
+    """(K.A', A'^2, K^2) on ``lattice`` for the polarization ``a_prime``."""
+    K = lattice.K
+    return pair(lattice, K, a_prime), pair(lattice, a_prime, a_prime), pair(lattice, K, K)
+
+
+# Each family of the surface table: the row fields its minimal model reads,
+# and (K'.A', A'^2, K'^2) of that model from their values
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., tuple[int, int, int]]]] = {
+    "I": (("A2",), lambda aa: (aa, aa, aa)),  # K numerically equal to A
+    "II": (("A2", "KA", "KK"), lambda aa, ka, kk: (ka, aa, kk)),
+    "III": (("A2", "KA"), lambda aa, ka: (ka, aa, 0)),  # minimal elliptic surface
+    "IV": (("A2_min",), lambda aa: (0, aa, 0)),  # K' numerically trivial
+    "V": (("e", "x", "y"), lambda e, x, y: _pairings(make_ruled(RuledModel(1, e)), (x, y))),
+    "VI": (("degree",), lambda degree: _pairings(make_plane(), (degree,))),
+    "VII": (("e", "x", "y"), lambda e, x, y: _pairings(make_ruled(RuledModel(0, e)), (x, y))),
+    # Del Pezzo stage j with A_j = -a * K_j
+    "VIII": (("KKj", "a"), lambda kkj, a: (-a * kkj, a * a * kkj, kkj)),
 }
-
-
-def _minimal_model_invariants(row: Mapping) -> tuple[int, int, int]:
-    """(g', A'^2, K'^2) of the minimal model encoded by a fixture row."""
-    family = row["family"]
-    if family == "I":
-        # K numerically equal to A: all three pairings equal A^2.
-        aa = row["A2"]
-        return sectional_genus_surface(aa, aa), aa, aa
-    if family == "II":
-        return sectional_genus_surface(row["KA"], row["A2"]), row["A2"], row["KK"]
-    if family == "III":
-        # minimal elliptic surface: K^2 = 0
-        return sectional_genus_surface(row["KA"], row["A2"]), row["A2"], 0
-    if family == "IV":
-        # K' numerically trivial
-        return sectional_genus_surface(0, row["A2_min"]), row["A2_min"], 0
-    if family in ("V", "VII"):
-        base_genus = 1 if family == "V" else 0
-        lattice = make_ruled(RuledModel(base_genus=base_genus, e=row["e"]))
-        a_prime = (row["x"], row["y"])
-        aa = pair(lattice, a_prime, a_prime)
-        ka = pair(lattice, lattice.K, a_prime)
-        kk = pair(lattice, lattice.K, lattice.K)
-        return sectional_genus_surface(ka, aa), aa, kk
-    if family == "VI":
-        lattice = make_plane()
-        a = (row["degree"],)
-        aa = pair(lattice, a, a)
-        ka = pair(lattice, lattice.K, a)
-        return sectional_genus_surface(ka, aa), aa, pair(lattice, lattice.K, lattice.K)
-    if family == "VIII":
-        # Del Pezzo stage j with A_j = -a * K_j
-        kkj, a = row["KKj"], row["a"]
-        aa = a * a * kkj
-        ka = -a * kkj
-        return sectional_genus_surface(ka, aa), aa, kkj
-    raise ValueError(f"unknown family {family!r}")
 
 
 def verify_row_2_3(row: Mapping) -> MinimalizationResult:
     """Recompute (g, A^2, K^2) for a surface-table row; the caller compares.
 
     The row is a mapping with a family tag I..VIII, optional blow-up
-    ``weights`` and the family's ``FAMILY_FIELDS``.  Malformed rows raise
-    ValueError.
+    ``weights`` and the fields ``FAMILIES`` lists for its family.  Malformed
+    rows raise ValueError.
     """
     try:
         weights = WeightSequence(tuple(row.get("weights", ())))
-        g_min, aa_min, kk_min = _minimal_model_invariants(row)
+        family = row["family"]
+        if not isinstance(family, str) or family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        fields, minimal_model = FAMILIES[family]
+        ka, aa, kk = minimal_model(*[row[name] for name in fields])
     except KeyError as exc:
         raise ValueError(f"surface-table row is missing field {exc}") from exc
-    return minimalization_invariants(g_min, aa_min, kk_min, weights)
+    return minimalization_invariants(sectional_genus_surface(ka, aa), aa, kk, weights)

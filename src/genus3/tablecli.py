@@ -28,7 +28,6 @@ from operator import attrgetter
 from . import classify, surflat
 from .chowcurve import (
     BaseCurve,
-    DivisorClass,
     ProjBundleModel,
     canonical_class,
     multiply_classes,
@@ -272,11 +271,11 @@ class VerificationReport(namedtuple("VerificationReport", "table verdicts")):
 def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
     for index, row in enumerate(rows):
         params = row.params
+        read = surflat.FAMILIES[params["family"]][0]  # the fields the minimal model reads
         try:
             result = surflat.verify_row_2_3(params)
         except ValueError as exc:  # a checked row fails here only on an odd K.A + A^2
-            names = ("A2", *surflat.FAMILY_FIELDS[params["family"]])
-            given = ", ".join(f"{n!r} = {params[n]}" for n in names)
+            given = ", ".join(f"{n!r} = {params[n]}" for n in read)
             raise FixtureError(f"row {index}: {row.key}: {exc}; the row gives {given}") from exc
         recomputed, expected = (result.AA, result.g), (params["A2"], 3)
         flagged = recomputed != expected
@@ -284,7 +283,6 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         try:
             text = f"A^2={result.AA}, g={result.g}"
         except ValueError as exc:  # every loaded int prints, but its square may not
-            read = surflat.FAMILY_FIELDS[params["family"]] or ("A2",)  # family I reads A2
             read += ("weights",) if "weights" in params else ()
             raise FixtureError(
                 f"row {index}: {row.key}: recomputed (A^2, g) has more than "
@@ -302,29 +300,33 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         )
 
 
+def _published_at(rows: Iterable[ClassificationRow], d: int) -> dict[tuple[int, ...], str]:
+    """The ``{splitting: status}`` map of the 3.25 rows at degree ``d``."""
+    return {tuple(r.params["splitting"]): r.params["status"] for r in rows if r.params["d"] == d}
+
+
 def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
-    by_d: dict[int, dict[tuple[int, ...], ClassificationRow]] = {}
-    for row in rows:
-        by_d.setdefault(row.params["d"], {})[tuple(row.params["splitting"])] = row
     for d in _RATIONAL_D_WINDOW:  # verify has checked every row's d into the window
-        published = by_d.get(d, {})
-        candidates = classify.enumerate_quadric_splittings(d)
-        admitted = {c.splitting for c in candidates if c.status == "admitted"}
-        for split, row in sorted(published.items()):
-            if split in admitted:
-                yield Verdict(key=row.key, verdict="verified")
+        published = _published_at(rows, d)
+        candidates = classify.enumerate_quadric_splittings(d, paper_rows=published)
+        admitted = [c for c in candidates if c.rule is None]
+        found = {c.splitting for c in admitted}
+        for split in sorted(published):
+            key = spec.key({"d": d, "splitting": split})
+            if split in found:
+                yield Verdict(key=key, verdict="verified")
             else:
                 # a splitting's length fixes n, so it is generated at most once
                 trace = next(
                     (str(c.rule) for c in candidates if c.splitting == split), "not generated"
                 )
                 yield Verdict(
-                    key=row.key,
+                    key=key,
                     verdict="paper-only",
                     note=f"enumerator rejects a published row: {trace}",
                     unexpected=True,
                 )
-        for split in sorted(admitted - published.keys()):
+        for split in sorted(c.splitting for c in admitted if c.beyond_paper):
             yield Verdict(
                 key=spec.key({"d": d, "splitting": split}),
                 verdict="beyond-paper",
@@ -372,12 +374,12 @@ def _is_splitting(value) -> bool:
 def _check_2_3(index: int, raw: Mapping) -> None:
     """A 2.3 row's family and that family's integer parameters; the optional
     integer ``e``, positive integer weights and boolean ``expect_discrepancy``."""
-    families = surflat.FAMILY_FIELDS
+    families = surflat.FAMILIES
     _require(
         index, raw, "family",
         lambda v: isinstance(v, str) and v in families, "one of " + ", ".join(families),
     )
-    for name in families[raw["family"]]:
+    for name in families[raw["family"]][0]:
         _require(index, raw, name)
     if "e" in raw:  # the row key reads it in every family
         _require(index, raw, "e")
@@ -654,8 +656,9 @@ def oracle_selftest() -> SelfTestReport:
 
     The loops run rank, c1, b, g(C), outermost first, so each piece of
     work sits in the outermost loop that fixes what it reads.  Per rank:
-    for every b, the oracle's tail H^(rank-2)·(2H + bF), expanded in
-    Z[H, F] by ``naive_expand``, and the ring's two factor lists.  Per
+    for every b, the tail H^(rank-2)·(2H + bF) as one list of (h, f)
+    pairs, which the ring multiplies as it is and the oracle expands in
+    Z[H, F] by ``naive_expand``, and the ring's degree factors H·tail.  Per
     (rank, c1): the bundle, adjoint_h and k_f at each g(C).  Per (rank, c1,
     b): the oracle's two products, each continuing from the tail with one
     more factor and reduced by ``naive_reduce`` only once it is whole: X_H
@@ -680,12 +683,12 @@ def oracle_selftest() -> SelfTestReport:
     counterexamples: list[IdentityCounterexample] = []
 
     for rank in range(3, 8):
-        # per b: the oracle's tail, the ring's degree factors and its adjoint tail
+        # per b: the tail H^(rank-2)*(2H + bF), expanded for the oracle, and the
+        # ring's degree factors H*tail
         tails = []
         for b in range(-6, 7):
-            ring_tail = [DivisorClass(1, 0)] * (rank - 2) + [DivisorClass(2, b)]
-            oracle_tail = naive_expand([(1, 0)] * (rank - 2) + [(2, b)])
-            tails.append((b, oracle_tail, [DivisorClass(1, 0), *ring_tail], ring_tail))
+            tail = [(1, 0)] * (rank - 2) + [(2, b)]
+            tails.append((b, naive_expand(tail), [(1, 0), *tail], tail))
         for e in range(-6, 7):
             bases = []
             for g_c in (0, 1, 2):
@@ -693,16 +696,16 @@ def oracle_selftest() -> SelfTestReport:
                 k_h, k_f = canonical_class(bundle)
                 # K + member + (rank - 2)*H: only its F-coefficient depends on b
                 bases.append((g_c, bundle, k_h + 2 + (rank - 2), k_f))
-            for b, oracle_tail, ring_degree, ring_tail in tails:
-                d_naive = naive_top_degree(rank, e, [(1, 0)], oracle_tail)
-                x_f = naive_top_degree(rank, e, [(0, 1)], oracle_tail)
+            for b, expanded, ring_degree, tail in tails:
+                d_naive = naive_top_degree(rank, e, [(1, 0)], expanded)
+                x_f = naive_top_degree(rank, e, [(0, 1)], expanded)
                 for g_c, bundle, adjoint_h, k_f in bases:
                     grid_points += 1
                     d, g, s = quadric_invariants(bundle, b)
                     g2_naive = adjoint_h * d_naive + (k_f + b) * x_f
                     d_ring = top_degree(bundle, multiply_classes(bundle, ring_degree))
                     g2_ring = top_degree(
-                        bundle, multiply_classes(bundle, [(adjoint_h, k_f + b), *ring_tail])
+                        bundle, multiply_classes(bundle, [(adjoint_h, k_f + b), *tail])
                     )
                     g2 = 2 * g - 2
                     if d != d_naive or g2 != g2_naive or d != d_ring or g2 != g2_ring:
@@ -875,12 +878,7 @@ def _cmd_enumerate(args) -> int:
     default_stop = classify.default_n_range(args.d).stop
     n_range = range(args.n_min, default_stop if args.n_max is None else args.n_max + 1)
     rules = _parse_rules(args.rules)
-    rows = load_fixture(packaged_fixture_path("3.25"), "3.25")
-    paper_rows = {
-        tuple(r.params["splitting"]): r.params["status"]
-        for r in rows
-        if r.params["d"] == args.d
-    }
+    paper_rows = _published_at(load_fixture(packaged_fixture_path("3.25"), "3.25"), args.d)
     candidates = classify.enumerate_quadric_splittings(
         args.d, n_range=n_range, rules=rules, paper_rows=paper_rows
     )

@@ -1,7 +1,7 @@
 import pytest
 
 from genus3.surflat import (
-    FAMILY_FIELDS,
+    FAMILIES,
     DegTRow,
     RuledModel,
     SurfaceLattice,
@@ -238,7 +238,15 @@ class TestVerifyRows:
             {"family": "VII", "row": 1, "e": 0, "x": 2, "y": 4, "A2": 16},
             {"family": "VIII", "row": 6, "KKj": 1, "a": 6, "weights": [5, 3], "A2": 2},
         ]
-        assert [row["family"] for row in rows] == list(FAMILY_FIELDS)
+        assert [row["family"] for row in rows] == list(FAMILIES)
         for row in rows:
-            assert set(row) - {"family", "row", "A2", "weights"} == set(FAMILY_FIELDS[row["family"]])
+            fields = FAMILIES[row["family"]][0]
+            assert set(row) - {"family", "row", "A2", "weights"} == set(fields) - {"A2"}
             assert verify_row_2_3(row)[:2] == (3, row["A2"])
+            # the published A2 is a field only where the minimal model reads it
+            unpublished = {name: value for name, value in row.items() if name != "A2"}
+            if "A2" in fields:
+                with pytest.raises(ValueError, match="missing field 'A2'"):
+                    verify_row_2_3(unpublished)
+            else:
+                assert verify_row_2_3(unpublished) == verify_row_2_3(row)

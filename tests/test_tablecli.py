@@ -194,6 +194,29 @@ class TestLoadFixture:
         err = capsys.readouterr().err
         assert f"row {index}: " in err and repr(field) in err
 
+    @pytest.mark.parametrize(
+        "index, field, value, named, unnamed",
+        [
+            # III-1: A^2 = 2 - 10**4400 is too long to print; III reads A2 and KA
+            (2, "weights", [10**2200], ["'A2', 'KA', 'weights'"], []),
+            # IV-1: K.A + A^2 = 0 + 5 is odd; IV reads A2_min, never the published A2
+            (4, "A2_min", 5, ["'A2_min' = 5"], ["'A2'"]),
+        ],
+        ids=["III-1-digit-limit", "IV-1-parity"],
+    )
+    def test_2_3_error_names_the_fields_the_family_reads(
+        self, tmp_path, capsys, index, field, value, named, unnamed
+    ):
+        rows = [dict(r.params) for r in bundled_rows("2.3")]
+        rows[index][field] = value
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"table": "2.3", "rows": rows}))
+        assert main(["verify", "--table", "2.3", "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: row {index}: ")
+        assert all(text in captured.err for text in named)
+        assert not any(text in captured.err for text in unnamed)
+
     def test_declared_table_must_be_the_requested_one(self, tmp_path, capsys):
         path = tmp_path / "declared.json"
         path.write_text('{"table": "2.3", "rows": []}')
