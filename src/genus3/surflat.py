@@ -134,7 +134,11 @@ def blow_up(lattice: SurfaceLattice, weights: WeightSequence) -> SurfaceLattice:
 def sectional_genus_surface(KA: int, AA: int) -> int:
     """g = (K.A + A^2)/2 + 1; raises on parity violation."""
     if (KA + AA) % 2 != 0:
-        raise ValueError(f"KA + AA = {KA + AA} must be even")
+        try:
+            text = f"KA + AA = {KA + AA} must be even"
+        except ValueError as exc:  # past the digit limit: leave the sum out, name the cause
+            raise ValueError("KA + AA must be even, and is odd (too long to print)") from exc
+        raise ValueError(text)
     return (KA + AA) // 2 + 1
 
 

@@ -206,15 +206,16 @@ def _json_document(payload: Mapping) -> str:
     r"""``json.dumps(payload, indent=2)`` for a report, through json's C encoder.
 
     ``payload`` is a non-empty object; each value is a scalar, a flat object,
-    or an array of flat, non-empty records.  One ``encode`` call renders an
-    array, and one ``replace`` re-indents its record breaks ``},\n      {``.
-    That text cannot come from a string value, because json escapes every
-    newline inside a string.
+    or a tuple of named-tuple records with scalar fields, which is written as
+    an array of objects, one ``_asdict()`` per record.  One ``encode`` call
+    renders a non-empty array, and one ``replace`` re-indents its record breaks
+    ``},\n      {``.  That text cannot come from a string value, because json
+    escapes every newline inside a string.
     """
     members = []
     for key, value in payload.items():
-        if isinstance(value, list) and value:
-            records = _RECORD_FIELDS.encode(value)[2:-2]
+        if isinstance(value, tuple) and value:
+            records = _RECORD_FIELDS.encode([r._asdict() for r in value])[2:-2]
             records = records.replace("},\n      {", "\n    },\n    {\n      ")
             text = "[\n    {\n      " + records + "\n    }\n  ]"
         elif isinstance(value, dict) and value:
@@ -260,9 +261,9 @@ class VerificationReport(namedtuple("VerificationReport", "table verdicts")):
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = {"table": self.table, "verdicts": [v._asdict() for v in self.verdicts]}
-        payload |= {"counts": self.counts, "exit_status": self.exit_status}
-        return _json_document(payload)
+        return _json_document(
+            self._asdict() | {"counts": self.counts, "exit_status": self.exit_status}
+        )
 
     def to_csv(self) -> str:
         return _csv(_VERDICT_COLUMNS, map(attrgetter(*_VERDICT_COLUMNS), self.verdicts))
@@ -275,8 +276,11 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         try:
             result = surflat.verify_row_2_3(params)
         except ValueError as exc:  # a checked row fails here only on an odd K.A + A^2
-            given = ", ".join(f"{n!r} = {params[n]}" for n in read)
-            raise FixtureError(f"row {index}: {row.key}: {exc}; the row gives {given}") from exc
+            if exc.__cause__ is None:
+                given = "the row gives " + ", ".join(f"{n!r} = {params[n]}" for n in read)
+            else:  # the sum is too long to print, so the values it came from are long too
+                given = "it is computed from the fields " + ", ".join(map(repr, read))
+            raise FixtureError(f"row {index}: {row.key}: {exc}; {given}") from exc
         recomputed, expected = (result.AA, result.g), (params["A2"], 3)
         flagged = recomputed != expected
         whitelisted = flagged and params.get("expect_discrepancy") is True
@@ -340,7 +344,11 @@ def _verify_exact_list(
     spec: TableSpec,
     rows: Sequence[ClassificationRow],
 ) -> Iterator[Verdict]:
-    """Diff a recomputed list of tuples against the rows' ``spec.fields`` tuples."""
+    """Diff recomputed records against the rows' ``spec.fields`` tuples.
+
+    A record's fields are in ``spec.fields`` order, so a named tuple equals its
+    row's plain tuple; a record that no row gives is keyed by that tuple's text.
+    """
     expected = recompute()
     fixture = [tuple(row.params[f] for f in spec.fields) for row in rows]
     for item, row in zip(fixture, rows):
@@ -351,7 +359,7 @@ def _verify_exact_list(
     for item in expected:
         if item not in fixture:
             yield Verdict(
-                key=str(item),
+                key=str(tuple(item)),
                 verdict="beyond-paper",
                 note="recomputed but absent from the fixture",
                 unexpected=True,
@@ -439,18 +447,13 @@ TABLES: dict[str, TableSpec] = {
     "2.8.2": TableSpec(
         fields=("degT", "degG", "c2", "L3"),
         key=lambda raw: f"degT={raw['degT']}",
-        recompute=partial(
-            _verify_exact_list,
-            lambda: [(r.degT, r.degG, r.c2, r.L3) for r in surflat.deg_t_enumeration()],
-        ),
+        # a lambda looks the function up per call, so a tracer that swaps it in sees it
+        recompute=partial(_verify_exact_list, lambda: surflat.deg_t_enumeration()),
     ),
     "4.4": TableSpec(
         fields=("g_C", "e", "b", "d"),
         key=lambda raw: f"type {raw.get('type', raw['d'])}",
-        recompute=partial(
-            _verify_exact_list,
-            lambda: [(s.g_C, s.e, s.b, s.d) for s in classify.veronese_solutions()],
-        ),
+        recompute=partial(_verify_exact_list, lambda: classify.veronese_solutions()),
         check=_check_4_4,
     ),
 }
@@ -614,11 +617,7 @@ class SelfTestReport(
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        # JSON wants each counterexample as an object
-        payload = self._asdict()
-        key = "variant_identity_counterexamples"
-        payload[key] = [c._asdict() for c in payload[key]]
-        return _json_document(payload | {"passed": self.passed})
+        return _json_document(self._asdict() | {"passed": self.passed})
 
 
 def oracle_selftest() -> SelfTestReport:
@@ -829,7 +828,7 @@ def _candidates_json(candidates: Sequence[classify.Candidate]) -> str:
 
 
 def _csv_halves(c: classify.Candidate) -> tuple[str, str]:
-    rule = (c.rule.rule, c.rule.detail, c.rule.citation) if c.rule else ("", "", "")
+    rule = c.rule or ("", "", "")  # a RuleResult is (rule, detail, citation), the CSV's order
     rest = (c.e, c.b, c.s, c.status, *rule, c.paper_status or "", c.beyond_paper)
     return f"{c.d},{c.n},", "," + _csv(rest, ())  # rest as _csv's header row, newline and all
 
@@ -860,12 +859,8 @@ def _parse_rules(spec: str) -> list:
 
 def _cmd_invariants(args) -> int:
     bundle = ProjBundleModel(BaseCurve(args.base_genus), args.rank, args.c1)
-    if args.veronese:
-        result = veronese_invariants(bundle, args.b)
-        print(json.dumps({"d": result.d, "g": result.g}))
-    else:
-        result = quadric_invariants(bundle, args.b)
-        print(json.dumps({"d": result.d, "g": result.g, "s": result.s}))
+    invariants = veronese_invariants if args.veronese else quadric_invariants
+    print(json.dumps(invariants(bundle, args.b)._asdict()))
     return 0
 
 

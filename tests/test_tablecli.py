@@ -3,17 +3,19 @@ import csv
 import hashlib
 import io
 import json
+import keyword
 import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genus3 import classify, tablecli
+from genus3 import classify, surflat, tablecli
 from genus3.tablecli import (
     FixtureError,
     load_fixture,
@@ -217,6 +219,21 @@ class TestLoadFixture:
         assert all(text in captured.err for text in named)
         assert not any(text in captured.err for text in unnamed)
 
+    def test_2_3_parity_error_past_the_digit_limit_is_one_short_line(self, tmp_path, capsys):
+        # II-1: K.A + A^2 = 2 * 10**4300 - 3 is odd and one digit too long to print;
+        # each field loads and prints, but the line names the fields, not their values
+        rows = [dict(r.params) for r in bundled_rows("2.3")]
+        rows[1] |= {"KA": 10**4300 - 1, "A2": 10**4300 - 2}
+        path = tmp_path / "parity.json"
+        path.write_text(json.dumps({"table": "2.3", "rows": rows}))
+        assert main(["verify", "--table", "2.3", "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: row 1: II-1: KA \+ AA must be even[^\n]*'A2', 'KA', 'KK'\n", captured.err
+        )
+        assert len(captured.err) < 200
+
     def test_declared_table_must_be_the_requested_one(self, tmp_path, capsys):
         path = tmp_path / "declared.json"
         path.write_text('{"table": "2.3", "rows": []}')
@@ -383,6 +400,13 @@ class TestVerify:
             assert report.exit_status == 0
             assert set(report.counts) == {"verified"}
             assert [v.key for v in report.verdicts] == expected
+
+    def test_exact_list_records_are_in_fixture_field_order(self):
+        # the recomputed named tuples are compared with the rows' plain tuples as they are
+        assert surflat.DegTRow._fields == tablecli.TABLES["2.8.2"].fields
+        assert classify.VeroneseSolution._fields == tablecli.TABLES["4.4"].fields
+        report = verify("2.8.2", bundled_rows("2.8.2")[:-1])
+        assert report.verdicts[-1][:2] == ("(4, -3, 5, 1)", "beyond-paper")
 
     def test_5_7_detects_tampering(self):
         rows = bundled_rows("5.7")
@@ -592,14 +616,14 @@ class TestSelfTest:
 class TestCli:
     def test_invariants_json(self, capsys):
         assert main(["invariants", "--base-genus", "0", "--rank", "4", "--c1", "4", "--b", "0"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"d": 8, "g": 3, "s": 8}
+        assert capsys.readouterr().out == '{"d": 8, "g": 3, "s": 8}\n'
 
     def test_invariants_veronese(self, capsys):
         code = main(
             ["invariants", "--base-genus", "1", "--rank", "3", "--c1", "2", "--b", "-1", "--veronese"]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out) == {"d": 4, "g": 3}
+        assert capsys.readouterr().out == '{"d": 4, "g": 3}\n'
 
     def test_invariants_bad_rank_for_veronese(self, capsys):
         code = main(
@@ -1012,21 +1036,36 @@ def test_grouped_renderers_match_per_candidate_rendering(candidates):
     assert tablecli._candidates_csv(candidates) == reference_csv(candidates)
 
 
-# report-shaped payloads: scalars, flat objects and arrays of flat, non-empty records
+# report-shaped payloads: scalars, flat objects and tuples of named-tuple records
 json_texts = st.text() | st.sampled_from(['"', "\\", "\n", "\u00e9\u2603", "},\n      {", "}, {"])
 json_scalars = st.none() | st.booleans() | st.integers() | json_texts
-flat_records = st.dictionaries(json_texts, json_scalars, min_size=1, max_size=4)
+field_names = st.from_regex(r"[a-z\u00e9][a-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda name: not keyword.iskeyword(name)
+)
+records = st.lists(field_names, min_size=1, max_size=4, unique=True).flatmap(
+    lambda names: st.tuples(*[json_scalars] * len(names)).map(namedtuple("Record", names)._make)
+)
 flat_objects = st.dictionaries(json_texts, json_scalars, max_size=4)
 report_payloads = st.dictionaries(
-    json_texts, json_scalars | flat_objects | st.lists(flat_records, max_size=4), min_size=1, max_size=5
+    json_texts,
+    json_scalars | flat_objects | st.lists(records, max_size=4).map(tuple),
+    min_size=1,
+    max_size=5,
 )
+Note = namedtuple("Note", "note n")
+Flag = namedtuple("Flag", "\u00e9 ok")
 
 
 @given(report_payloads)
-@example({"counts": {}, "verdicts": []})
-@example({"verdicts": [{"note": "},\n      {", "n": 1}, {"\u00e9": None, "ok": True}], "exit_status": 0})
+@example({"counts": {}, "verdicts": ()})
+@example({"verdicts": (Note("},\n      {", 1), Flag(None, True)), "exit_status": 0})
 def test_json_document_matches_json_dumps_with_indent(payload):
-    assert tablecli._json_document(payload) == json.dumps(payload, indent=2)
+    # a tuple of records is written as json writes the list of their _asdict()
+    objects = {
+        key: [r._asdict() for r in value] if isinstance(value, tuple) else value
+        for key, value in payload.items()
+    }
+    assert tablecli._json_document(payload) == json.dumps(objects, indent=2)
 
 
 def test_packaged_fixture_path_rejects_unknown():
