@@ -131,14 +131,29 @@ def blow_up(lattice: SurfaceLattice, weights: WeightSequence) -> SurfaceLattice:
     )
 
 
+_PRINTED_DIGITS = 50  # below the least digit limit an interpreter can set, 640
+
+
+def int_text(value: int) -> str:
+    """``str(value)`` up to ``_PRINTED_DIGITS`` digits; past that, only how many it has.
+
+    An error message that names a value prints it with this, so its length is
+    bounded, and an int past the interpreter's digit limit never reaches ``str``.
+    """
+    size = abs(value)
+    if size < 10**_PRINTED_DIGITS:
+        return str(value)
+    # a lower bound on the digit count, as 0.30102 < log10(2); then count up exactly
+    digits = (size.bit_length() - 1) * 30102 // 100000 + 1
+    while size >= 10**digits:
+        digits += 1
+    return f"an integer of {digits} digits"
+
+
 def sectional_genus_surface(KA: int, AA: int) -> int:
     """g = (K.A + A^2)/2 + 1; raises on parity violation."""
     if (KA + AA) % 2 != 0:
-        try:
-            text = f"KA + AA = {KA + AA} must be even"
-        except ValueError as exc:  # past the digit limit: leave the sum out, name the cause
-            raise ValueError("KA + AA must be even, and is odd (too long to print)") from exc
-        raise ValueError(text)
+        raise ValueError(f"KA + AA = {int_text(KA + AA)} must be even")
     return (KA + AA) // 2 + 1
 
 

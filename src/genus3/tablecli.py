@@ -14,8 +14,6 @@ of standard output closes it early (nothing is printed on standard error).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import os
@@ -24,6 +22,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from operator import attrgetter
+from types import SimpleNamespace
 
 from . import classify, surflat
 from .chowcurve import (
@@ -187,6 +186,8 @@ _VERDICT_COLUMNS = ("key", "verdict", "expected", "recomputed", "whitelisted", "
 
 
 def _csv(header: Sequence[str], records: Iterable[Sequence]) -> str:
+    import csv  # only CSV output loads it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -276,11 +277,8 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         try:
             result = surflat.verify_row_2_3(params)
         except ValueError as exc:  # a checked row fails here only on an odd K.A + A^2
-            if exc.__cause__ is None:
-                given = "the row gives " + ", ".join(f"{n!r} = {params[n]}" for n in read)
-            else:  # the sum is too long to print, so the values it came from are long too
-                given = "it is computed from the fields " + ", ".join(map(repr, read))
-            raise FixtureError(f"row {index}: {row.key}: {exc}; {given}") from exc
+            given = ", ".join(f"{n!r} = {surflat.int_text(params[n])}" for n in read)
+            raise FixtureError(f"row {index}: {row.key}: {exc}; the row gives {given}") from exc
         recomputed, expected = (result.AA, result.g), (params["A2"], 3)
         flagged = recomputed != expected
         whitelisted = flagged and params.get("expect_discrepancy") is True
@@ -289,9 +287,9 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         except ValueError as exc:  # every loaded int prints, but its square may not
             read += ("weights",) if "weights" in params else ()
             raise FixtureError(
-                f"row {index}: {row.key}: recomputed (A^2, g) has more than "
-                f"{sys.get_int_max_str_digits()} digits, too long to print; it is computed "
-                f"from the fields {', '.join(map(repr, read))}"
+                f"row {index}: {row.key}: recomputed (A^2, g) = ({surflat.int_text(result.AA)}, "
+                f"{surflat.int_text(result.g)}) is too long to print; it is computed from the "
+                f"fields {', '.join(map(repr, read))}"
             ) from exc
         yield Verdict(
             key=row.key,
@@ -899,7 +897,64 @@ def _cmd_selftest(args) -> int:
     return report.exit_status
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMATS = ("table", "json", "csv")
+
+# Each command's handler, help and options, every option as the keyword arguments
+# of argparse's add_argument.  build_parser builds its argparse parser from this
+# table, and _strict_args parses a well-formed command line from it without argparse
+COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
+    "invariants": (
+        _cmd_invariants,
+        "degree/genus/defect of a fibration model",
+        {
+            "--base-genus": {"type": int, "required": True, "help": "genus of the base curve"},
+            "--rank": {"type": int, "required": True, "help": "rank of the bundle"},
+            "--c1": {"type": int, "required": True, "help": "first Chern number of the bundle"},
+            "--b": {"type": int, "required": True, "help": "twist degree of the member class"},
+            "--veronese": {
+                "action": "store_true",
+                "default": False,
+                "help": "treat L = 2H + bF as the polarization of a rank-3 Veronese fibration",
+            },
+        },
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "splitting-type candidates at one degree",
+        {
+            "--d": {"type": int, "required": True, "help": "degree L^n"},
+            "--n-min": {"type": int, "default": 3},
+            "--n-max": {"type": int},
+            "--rules": {
+                "default": "default",
+                "help": "'default' or a comma-separated rule list "
+                f"({', '.join(sorted(_RULES_BY_NAME))})",
+            },
+            "--format": {"choices": _FORMATS, "default": "table"},
+        },
+    ),
+    "verify": (
+        _cmd_verify,
+        "recompute a table and diff against a fixture",
+        {
+            "--table": {"required": True, "choices": TABLE_IDS},
+            "--fixture": {"help": "fixture path (defaults to the bundled fixture)"},
+            "--format": {"choices": _FORMATS, "default": "table"},
+        },
+    ),
+    "oracle-selftest": (
+        _cmd_selftest,
+        "grid comparison of closed forms against the naive ring oracle",
+        {"--format": {"choices": ("table", "json"), "default": "table"}},
+    ),
+}
+
+
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``COMMANDS``, which writes the CLI's help and
+    usage errors."""
+    import argparse  # loaded only for the command lines that _strict_args leaves to it
+
     parser = argparse.ArgumentParser(
         prog="genus3",
         description=(
@@ -908,52 +963,55 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariants", help="degree/genus/defect of a fibration model")
-    p_inv.add_argument("--base-genus", type=int, required=True, help="genus of the base curve")
-    p_inv.add_argument("--rank", type=int, required=True, help="rank of the bundle")
-    p_inv.add_argument("--c1", type=int, required=True, help="first Chern number of the bundle")
-    p_inv.add_argument("--b", type=int, required=True, help="twist degree of the member class")
-    p_inv.add_argument(
-        "--veronese",
-        action="store_true",
-        help="treat L = 2H + bF as the polarization of a rank-3 Veronese fibration",
-    )
-    p_inv.set_defaults(func=_cmd_invariants)
-
-    p_enum = sub.add_parser("enumerate", help="splitting-type candidates at one degree")
-    p_enum.add_argument("--d", type=int, required=True, help="degree L^n")
-    p_enum.add_argument("--n-min", type=int, default=3)
-    p_enum.add_argument("--n-max", type=int, default=None)
-    p_enum.add_argument(
-        "--rules",
-        default="default",
-        help="'default' or a comma-separated rule list "
-        f"({', '.join(sorted(_RULES_BY_NAME))})",
-    )
-    p_enum.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_verify = sub.add_parser("verify", help="recompute a table and diff against a fixture")
-    p_verify.add_argument("--table", required=True, choices=TABLE_IDS)
-    p_verify.add_argument(
-        "--fixture", default=None, help="fixture path (defaults to the bundled fixture)"
-    )
-    p_verify.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_self = sub.add_parser(
-        "oracle-selftest", help="grid comparison of closed forms against the naive ring oracle"
-    )
-    p_self.add_argument("--format", choices=("table", "json"), default="table")
-    p_self.set_defaults(func=_cmd_selftest)
-
+    for name, (func, summary, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, option in options.items():
+            command.add_argument(flag, **option)
+        command.set_defaults(func=func)
     return parser
 
 
+def _strict_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives a well-formed ``argv``, else None.
+
+    Well formed is a command's exact name, then options by their exact names,
+    each at most once: a ``store_true`` flag bare, any other with a value that
+    converts with its type, lies in its choices and starts with ``-`` only as
+    a negative integer; every required option is given.  Any other argv, help
+    and every usage error included, is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        option = options.get(flag)
+        if option is None or flag in given:
+            return None
+        if option.get("action") == "store_true":
+            given[flag] = True
+            continue
+        word = next(words, "-")  # a missing value is malformed too
+        if word[:1] == "-" and not (word[1:].isascii() and word[1:].isdigit()):
+            return None
+        try:
+            value = option.get("type", str)(word)
+        except ValueError:
+            return None
+        if value not in option.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(option.get("required") and flag not in given for flag, option in options.items()):
+        return None
+    values = {f[2:].replace("-", "_"): given.get(f, o.get("default")) for f, o in options.items()}
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _strict_args(argv) or build_parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush

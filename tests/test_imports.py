@@ -17,10 +17,8 @@ from genus3 import tablecli
 # the modules genus3's modules import at top level (submodules named in full)
 STDLIB_IMPORTS = (
     "__future__",
-    "argparse",
     "collections",
     "collections.abc",
-    "csv",
     "functools",
     "gc",
     "io",
@@ -29,6 +27,7 @@ STDLIB_IMPORTS = (
     "operator",
     "os",
     "sys",
+    "types",
 )
 
 LOADED = "import sys\n{imports}\nprint(*sorted(sys.modules))"
@@ -66,9 +65,11 @@ def test_cli_import_adds_only_genus3_modules():
     cli = modules_after("import genus3.tablecli")
     extra = sorted(name for name in cli - stdlib if name.partition(".")[0] != "genus3")
     assert extra == []
-    # named here as well, so that no transitive import can bring it back:
-    # dataclasses pulls in inspect, and inspect pulls in ast, dis and tokenize.
-    assert "dataclasses" not in cli
+    # named here as well, so that no transitive import can bring them back:
+    # dataclasses pulls in inspect, and inspect pulls in ast, dis and tokenize;
+    # argparse pulls in gettext, whose first message pulls in locale, and csv is
+    # for --format csv alone
+    assert {"dataclasses", "argparse", "csv"} & cli == set()
 
 
 def test_cli_import_loads_neither_resources_nor_inspect():
@@ -78,6 +79,37 @@ def test_cli_import_loads_neither_resources_nor_inspect():
     # collections.namedtuple subclass does
     cli = modules_after("import genus3.tablecli", "-S")
     assert {"importlib.resources", "inspect", "typing"} & cli == set()
+
+
+# the benchmark's CLI command lines (perfbench/workloads.py, CLI_COMMANDS)
+BENCHMARK_COMMAND_LINES = (
+    "invariants --base-genus 0 --rank 4 --c1 6 --b -2",
+    "invariants --base-genus 1 --rank 3 --c1 2 --b -1 --veronese",
+    "enumerate --d 11",
+    "enumerate --d 9 --n-max 10 --format json",
+    "enumerate --d 6 --format csv",
+    *(f"verify --table {table}" for table in tablecli.TABLE_IDS),
+)
+
+RUN_CLI = (
+    "import sys\nfrom genus3.tablecli import main\nstatus = main()\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\nsys.exit(status)"
+)
+
+
+def test_a_well_formed_command_loads_no_argparse():
+    # argparse is for help and usage errors: a command it need not parse loads
+    # neither it nor gettext and locale, which its first message pulls in
+    for line in BENCHMARK_COMMAND_LINES:
+        result = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, *line.split()],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stderr.split())
+        assert {"argparse", "gettext", "locale"} & loaded == set(), line
+        assert ("csv" in loaded) == line.endswith("--format csv"), line
 
 
 # public names no genus3 code or acceptance test reaches, kept on purpose: the

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from genus3.surflat import (
@@ -8,6 +10,7 @@ from genus3.surflat import (
     WeightSequence,
     blow_up,
     deg_t_enumeration,
+    int_text,
     make_plane,
     make_ruled,
     minimalization_invariants,
@@ -106,6 +109,27 @@ class TestSectionalGenus:
         with pytest.raises(ValueError, match=r"^KA \+ AA = 3 must be even$"):
             sectional_genus_surface(1, 2)
         assert sectional_genus_surface(2, 2) == 3
+
+
+class TestIntText:
+    def test_up_to_50_digits_prints_in_full(self):
+        for value in (0, -7, 10**49, 10**50 - 1, -(10**50) + 1):
+            assert int_text(value) == str(value)
+
+    def test_past_50_digits_gives_the_digit_count(self):
+        # around powers of ten and of two, up to twice the interpreter's digit limit
+        values = [v for k in range(50, 9000, 197) for v in (10**k - 1, 10**k, 2 ** (3 * k))]
+        values += [-v for v in values]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # so that str can count every digit
+        try:
+            digits = [len(str(abs(value))) for value in values]
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert [int_text(value) for value in values] == [
+            str(value) if n <= 50 else f"an integer of {n} digits"
+            for value, n in zip(values, digits)
+        ]
 
 
 class TestBlowUp:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from genus3 import classify, surflat, tablecli
 from genus3.tablecli import (
     FixtureError,
+    build_parser,
     load_fixture,
     main,
     oracle_selftest,
@@ -219,20 +220,32 @@ class TestLoadFixture:
         assert all(text in captured.err for text in named)
         assert not any(text in captured.err for text in unnamed)
 
-    def test_2_3_parity_error_past_the_digit_limit_is_one_short_line(self, tmp_path, capsys):
-        # II-1: K.A + A^2 = 2 * 10**4300 - 3 is odd and one digit too long to print;
-        # each field loads and prints, but the line names the fields, not their values
+    @staticmethod
+    def parity_error(tmp_path, capsys, KA, A2):
+        """The error line of verifying 2.3 with its II-1 row given ``KA`` and ``A2``."""
         rows = [dict(r.params) for r in bundled_rows("2.3")]
-        rows[1] |= {"KA": 10**4300 - 1, "A2": 10**4300 - 2}
+        rows[1] |= {"KA": KA, "A2": A2}
         path = tmp_path / "parity.json"
         path.write_text(json.dumps({"table": "2.3", "rows": rows}))
         assert main(["verify", "--table", "2.3", "--fixture", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(
-            r"error: row 1: II-1: KA \+ AA must be even[^\n]*'A2', 'KA', 'KK'\n", captured.err
+        return captured.err
+
+    def test_2_3_parity_error_past_the_digit_limit_is_one_short_line(self, tmp_path, capsys):
+        # II-1: K.A + A^2 = 2 * 10**4300 - 3 is odd and one digit too long to print;
+        # each field loads and prints, but the line gives their lengths, not their values
+        assert self.parity_error(tmp_path, capsys, 10**4300 - 1, 10**4300 - 2) == (
+            "error: row 1: II-1: KA + AA = an integer of 4301 digits must be even; the row "
+            "gives 'A2' = an integer of 4300 digits, 'KA' = an integer of 4300 digits, 'KK' = 1\n"
         )
-        assert len(captured.err) < 200
+
+    def test_2_3_parity_error_under_the_digit_limit_is_one_short_line(self, tmp_path, capsys):
+        # II-1: K.A + A^2 = 2 * 10**4299 + 1 is odd, and at 4,300 digits it still prints
+        assert self.parity_error(tmp_path, capsys, 10**4299 + 1, 10**4299) == (
+            "error: row 1: II-1: KA + AA = an integer of 4300 digits must be even; the row "
+            "gives 'A2' = an integer of 4300 digits, 'KA' = an integer of 4300 digits, 'KK' = 1\n"
+        )
 
     def test_declared_table_must_be_the_requested_one(self, tmp_path, capsys):
         path = tmp_path / "declared.json"
@@ -733,6 +746,28 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--table", "7.7"])
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: genus3 verify") and "invalid choice: '7.7'" in err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--table", "7.7"])
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", [None, *tablecli.COMMANDS])
+    def test_help_is_argparse_help(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert capsys.readouterr().out == out
+        if command is None:
+            assert out.startswith("usage: genus3 [-h]") and all(c in out for c in tablecli.COMMANDS)
+        else:
+            options = tablecli.COMMANDS[command][2]
+            assert out.startswith(f"usage: genus3 {command} [-h]")
+            assert all(flag in out for flag in options)
 
     def test_selftest_command(self, capsys):
         assert main(["oracle-selftest"]) == 0
@@ -839,6 +874,93 @@ VERIFY_DIGESTS = [
 def test_verify_output_is_pinned(capsys, table, fmt, digest):
     assert main(["verify", "--table", table, "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+FLAGS = sorted({flag for _, _, options in tablecli.COMMANDS.values() for flag in options})
+# malformed ints, values outside every choice, and words argparse reads as options
+BAD_VALUES = st.sampled_from(
+    ["7.7", "xml", "-", "--", "-h", "--help", "-.5", "-1e3", "+3", " 4", "1_0", "3.0", "x",
+     "-x", "\u0663", "-\u0663", "10" * 2500]
+)
+STRAY_WORDS = st.one_of(
+    st.sampled_from([*FLAGS, *tablecli.COMMANDS, "verif", "-h", "--help", "--d=3"]), BAD_VALUES
+)
+
+
+def good_values(option):
+    if "choices" in option:
+        return st.sampled_from(option["choices"])
+    if option.get("type") is int:
+        return st.integers(-30, 30).map(str)
+    return st.sampled_from(["default", "cited-cap,floor-bound", "", "-7", "a b"])
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line, or one with a few faults: an abbreviated, ``=``
+    joined, repeated or dropped option, a bad value, or a stray word."""
+    command = draw(st.sampled_from(sorted(tablecli.COMMANDS)))
+    options = tablecli.COMMANDS[command][2]
+    given = [
+        flag for flag in draw(st.permutations(sorted(options)))
+        if options[flag].get("required") or draw(st.booleans())
+    ]
+    items = [
+        [flag] if options[flag].get("action") == "store_true"
+        else [flag, draw(good_values(options[flag]))]
+        for flag in given
+    ]
+    strays = []
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["abbreviate", "join", "repeat", "drop", "value", "stray"]))
+        if fault == "stray":
+            strays.append(draw(STRAY_WORDS))
+            continue
+        if not items:
+            continue
+        at = draw(st.integers(0, len(items) - 1))
+        words = items[at]
+        if fault == "abbreviate" and len(words[0]) > 3:
+            words[0] = words[0][: draw(st.integers(3, len(words[0]) - 1))]
+        elif fault == "join":
+            items[at] = ["=".join(words)]
+        elif fault == "repeat":
+            items.insert(at, list(words))
+        elif fault == "drop":
+            del items[at]
+        elif fault == "value" and len(words) == 2:
+            words[1] = draw(BAD_VALUES)
+    argv = [command, *(word for words in items for word in words)]
+    for word in strays:  # before the command too
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+@example(["verify", "--table", "2.3", "--fixture", "-x"])  # argparse reads -x as an option
+@example(["enumerate", "--d", "-3", "--n-min", "-0", "--rules", "-7"])
+def test_the_strict_parse_is_argparse_or_declines(argv):
+    args = tablecli._strict_args(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", tablecli.COMMANDS)
+def test_the_strict_parse_takes_every_well_formed_command_line(command):
+    # every option given, in table order, with the first of its choices or a
+    # negative int; then only the required ones
+    full, required = [command], [command]
+    for flag, option in tablecli.COMMANDS[command][2].items():
+        words = [flag]
+        if option.get("action") != "store_true":
+            words.append(str(option["choices"][0]) if "choices" in option else "-2")
+        full += words
+        required += words if option.get("required") else []
+    for argv in (full, required):
+        args = tablecli._strict_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def run_main(argv):
