@@ -18,7 +18,7 @@ coefficient size.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import _tuplegetter
 from collections.abc import Iterable, Sequence
 
 
@@ -29,18 +29,92 @@ def require_ints(what: str, values: Sequence) -> None:
         raise ValueError(f"{what} must be of type int, got {bad!r}")
 
 
-class BaseCurve(namedtuple("BaseCurve", "genus")):
+_tuple_new = tuple.__new__  # a module global: one lookup fewer on every record built
+
+
+class Record(tuple):
+    """Base of genus3's records: named tuples without ``collections``' per-class ``eval``.
+
+    A subclass's fields are its own annotations, in order; a value given to
+    a field in the class body is that field's default.  Each field reads
+    through the stdlib named tuple's index accessor, and a record builds,
+    compares, hashes, copies, pickles and reprs as that named tuple does.
+    ``_make`` and ``_replace`` build through ``cls(...)``, so a subclass
+    that validates in its own ``__new__`` validates on every path.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__annotations__)
+        defaults = {}
+        for index, name in enumerate(fields):
+            if name in vars(cls):
+                defaults[name] = vars(cls)[name]
+            elif defaults:
+                raise TypeError(f"{cls.__name__}: field {name!r} has no default but follows one")
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+        cls._fields = cls.__match_args__ = fields
+        cls._field_defaults = defaults
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = _arguments(cls, args, kwargs)
+        return _tuple_new(cls, args)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Record:
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)
+
+    def _replace(self, /, **kwargs) -> Record:
+        record = self._make(map(kwargs.pop, self._fields, self))
+        if kwargs:
+            raise ValueError(f"Got unexpected field names: {list(kwargs)!r}")
+        return record
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+
+def _arguments(cls: type[Record], args: tuple, kwargs: dict) -> list:
+    """The field values of ``cls(*args, **kwargs)``, or the named tuple's ``TypeError``."""
+    fields = cls._fields
+    rest, given = fields[len(args):], cls._field_defaults | kwargs
+    if len(args) > len(fields):
+        raise TypeError(
+            f"{cls.__name__}() takes {len(fields)} positional arguments but {len(args)} were given"
+        )
+    for name in kwargs:
+        if name not in rest:
+            wrong = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {wrong} argument {name!r}")
+    for name in rest:
+        if name not in given:
+            raise TypeError(f"{cls.__name__}() missing required argument: {name!r}")
+    return [*args, *map(given.get, rest)]
+
+
+class BaseCurve(Record):
     """A smooth projective curve, carried only through its genus."""
 
     __slots__ = ()
     genus: int
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, genus: int) -> BaseCurve:
         require_ints("curve genus", (genus,))
         if genus < 0:
             raise ValueError(f"curve genus must be non-negative, got {genus}")
-        return super().__new__(cls, genus)
+        return tuple.__new__(cls, (genus,))
 
 
 class SplittingType(tuple):
@@ -69,7 +143,7 @@ class SplittingType(tuple):
         return sum(self)
 
 
-class ProjBundleModel(namedtuple("ProjBundleModel", "base rank c1")):
+class ProjBundleModel(Record):
     """Numerical model of P(E) for a bundle E on a curve.
 
     ``rank`` is the rank of E (so dim P(E) = rank and the fibre dimension
@@ -81,7 +155,6 @@ class ProjBundleModel(namedtuple("ProjBundleModel", "base rank c1")):
     base: BaseCurve
     rank: int
     c1: int
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, base: BaseCurve, rank: int, c1: int) -> ProjBundleModel:
         if not isinstance(base, BaseCurve):
@@ -89,7 +162,7 @@ class ProjBundleModel(namedtuple("ProjBundleModel", "base rank c1")):
         require_ints("rank and c1", (rank, c1))
         if rank < 2:
             raise ValueError(f"rank must be at least 2, got {rank}")
-        return super().__new__(cls, base, rank, c1)
+        return tuple.__new__(cls, (base, rank, c1))
 
     @classmethod
     def split(cls, degrees: Sequence[int]) -> ProjBundleModel:
@@ -98,7 +171,7 @@ class ProjBundleModel(namedtuple("ProjBundleModel", "base rank c1")):
         return cls(BaseCurve(0), len(st), st.c1)
 
 
-class DivisorClass(namedtuple("DivisorClass", "h f")):
+class DivisorClass(Record):
     """Integer class h*H + f*F on P(E).
 
     ``+``, ``-``, unary ``-`` and scalar ``*`` act on classes, not as tuple
@@ -128,7 +201,7 @@ H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
 
 
-class ChowElement(namedtuple("ChowElement", "degree h hf")):
+class ChowElement(Record):
     """Class h*H^degree + hf*H^(degree-1)*F of a product of divisor classes.
 
     Every product of k divisor classes has this normal form: F^2 = 0
@@ -192,7 +265,7 @@ def canonical_class(bundle: ProjBundleModel) -> DivisorClass:
     return tuple.__new__(DivisorClass, (-bundle.rank, 2 * bundle.base.genus - 2 + bundle.c1))
 
 
-class QuadricInvariants(namedtuple("QuadricInvariants", "d g s")):
+class QuadricInvariants(Record):
     """Degree, sectional genus and smoothness defect of a member of |2H + bF|."""
 
     __slots__ = ()
@@ -213,7 +286,7 @@ def quadric_invariants(bundle: ProjBundleModel, b: int) -> QuadricInvariants:
         require_ints("twist b", (b,))
     e = bundle.c1
     fields = (2 * e + b, 2 * bundle.base.genus - 1 + e + b, 2 * e + bundle.rank * b)
-    # built in C, as classify's Candidate: QuadricInvariants has no __new__ to run
+    # built in C, as classify's Candidate: QuadricInvariants has no checks to run
     return tuple.__new__(QuadricInvariants, fields)
 
 
@@ -241,7 +314,7 @@ def sectional_genus_divisor(
     return value // 2 + 1
 
 
-class VeroneseInvariants(namedtuple("VeroneseInvariants", "d g")):
+class VeroneseInvariants(Record):
     """Degree and sectional genus of the polarization 2H + bF of a Veronese fibration."""
 
     __slots__ = ()
@@ -287,7 +360,7 @@ def h0_sym2_twist(degrees: Sequence[int], t: int) -> int:
     return h0_line_bundle_sum_P1(_sym2_degrees(degrees, t))
 
 
-class TruncationViolation(namedtuple("TruncationViolation", "k number")):
+class TruncationViolation(Record):
     """The first violated truncation codimension k and its non-positive number."""
 
     __slots__ = ()
@@ -364,9 +437,7 @@ def corank1_emptiness(splitting: Sequence[int], b: int) -> int | None:
     return None
 
 
-class NormalObstructionDetail(
-    namedtuple("NormalObstructionDetail", "index_set p q c h0_p h0_q pairing self_p self_q branch")
-):
+class NormalObstructionDetail(Record):
     """The numbers behind ``normal_obstruction``'s verdict; ``branch`` names the case."""
 
     __slots__ = ()

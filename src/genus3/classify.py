@@ -14,7 +14,6 @@ source classification's numbering.
 from __future__ import annotations
 
 import gc
-from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import repeat
 
@@ -25,7 +24,7 @@ class UnboundedEnumerationError(ValueError):
     """Raised when a rule set cannot bound the splitting enumeration."""
 
 
-class QuadricParams(namedtuple("QuadricParams", "g_C n")):
+class QuadricParams(chowcurve.Record):
     """Genus-three parameter map d -> (e, b, s) for hyperquadric fibrations over a curve.
 
     2 g(C) + e + b = 4, d = 2e + b and s = 2e + (n+1)b.  The d_range is empty
@@ -35,7 +34,6 @@ class QuadricParams(namedtuple("QuadricParams", "g_C n")):
     __slots__ = ()
     g_C: int
     n: int
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, g_C: int, n: int) -> QuadricParams:
         chowcurve.require_ints("base genus", (g_C,))
@@ -44,7 +42,7 @@ class QuadricParams(namedtuple("QuadricParams", "g_C n")):
             raise ValueError(f"fibration dimension n must be >= 3, got {n}")
         if g_C < 0:
             raise ValueError(f"base genus must be >= 0, got {g_C}")
-        return super().__new__(cls, g_C, n)
+        return tuple.__new__(cls, (g_C, n))
 
     def e(self, d: int) -> int:
         return d - 4 + 2 * self.g_C
@@ -61,7 +59,7 @@ class QuadricParams(namedtuple("QuadricParams", "g_C n")):
         return range(1, max(self.s(0) // (self.s(0) - self.s(1)), 0) + 1)
 
 
-class RuleResult(namedtuple("RuleResult", "rule detail citation")):
+class RuleResult(chowcurve.Record):
     """First violated rule for an excluded candidate."""
 
     __slots__ = ()
@@ -136,7 +134,7 @@ class FloorBoundRule:
         return None
 
 
-class NCap(namedtuple("NCap", "pattern n_max citation")):
+class NCap(chowcurve.Record):
     """Cited cap on the fibre dimension for one nonzero-degree pattern."""
 
     __slots__ = ()
@@ -145,7 +143,7 @@ class NCap(namedtuple("NCap", "pattern n_max citation")):
     citation: str
 
 
-class EntryBound(namedtuple("EntryBound", "d index minimum citation")):
+class EntryBound(chowcurve.Record):
     """Cited lower bound on one sorted entry at a fixed degree."""
 
     __slots__ = ()
@@ -283,11 +281,7 @@ def default_n_range(d: int) -> range:
     return range(3, 3 + p.s(d) // -p.b(d) + 1)
 
 
-class Candidate(
-    namedtuple(
-        "Candidate", "splitting d rule paper_status beyond_paper", defaults=(None, None, False)
-    )
-):
+class Candidate(chowcurve.Record):
     """One splitting type at degree d, with its first-failed-rule trace.
 
     Only what the enumeration decided is stored; the fibre dimension n,
@@ -297,9 +291,9 @@ class Candidate(
     __slots__ = ()
     splitting: tuple[int, ...]
     d: int
-    rule: RuleResult | None  # None: admitted
-    paper_status: str | None
-    beyond_paper: bool
+    rule: RuleResult | None = None  # None: admitted
+    paper_status: str | None = None
+    beyond_paper: bool = False
 
     @property
     def n(self) -> int:
@@ -572,7 +566,7 @@ def admitted_splittings(candidates: Sequence[Candidate]) -> list[tuple[int, ...]
     return [c.splitting for c in candidates if c.status == "admitted"]
 
 
-class VeroneseSolution(namedtuple("VeroneseSolution", "g_C e b d")):
+class VeroneseSolution(chowcurve.Record):
     """One Veronese-fibration parameter solution (g(C), e, b, d)."""
 
     __slots__ = ()
@@ -610,7 +604,7 @@ def veronese_solutions() -> list[VeroneseSolution]:
     return solutions
 
 
-class ReductionRecord(namedtuple("ReductionRecord", "general_type_tuples")):
+class ReductionRecord(chowcurve.Record):
     """The (L^n, r, L'^n) reduction tuples and the Veronese blow-up bound on r."""
 
     __slots__ = ()
@@ -642,7 +636,7 @@ def reduction_tuples() -> ReductionRecord:
     return ReductionRecord(tuple(t for t in solutions if t != _OMITTED_5_7))
 
 
-class DeltaRecord(namedtuple("DeltaRecord", "d_range")):
+class DeltaRecord(chowcurve.Record):
     """The nef-adjoint degree window."""
 
     __slots__ = ()

@@ -9,13 +9,12 @@ caller's.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 
-from .chowcurve import require_ints
+from .chowcurve import Record, require_ints
 
 
-class RuledModel(namedtuple("RuledModel", "base_genus e")):
+class RuledModel(Record):
     """P^1-bundle over a curve of genus ``base_genus`` with c1(F) = e."""
 
     __slots__ = ()
@@ -23,19 +22,18 @@ class RuledModel(namedtuple("RuledModel", "base_genus e")):
     e: int
 
 
-class WeightSequence(namedtuple("WeightSequence", "weights")):
+class WeightSequence(Record):
     """Weights (m_r, ..., m_1) of a chain of (-1)-curve contractions."""
 
     __slots__ = ()
     weights: tuple[int, ...]
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, weights: Sequence[int]) -> WeightSequence:
         weights = tuple(weights)
         require_ints("weights", weights)
         if any(m < 1 for m in weights):
             raise ValueError(f"weights must be >= 1, got {weights}")
-        return super().__new__(cls, weights)
+        return tuple.__new__(cls, (weights,))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -49,7 +47,7 @@ class WeightSequence(namedtuple("WeightSequence", "weights")):
         return sum(m * m for m in self.weights)
 
 
-class SurfaceLattice(namedtuple("SurfaceLattice", "gram K A")):
+class SurfaceLattice(Record):
     """Gram matrix, canonical class and (optional) polarization.
 
     Every field is stored as a tuple (the Gram matrix as a tuple of tuple
@@ -61,7 +59,6 @@ class SurfaceLattice(namedtuple("SurfaceLattice", "gram K A")):
     gram: tuple[tuple[int, ...], ...]
     K: tuple[int, ...]
     A: tuple[int, ...] | None
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, gram, K, A=None) -> SurfaceLattice:
         gram, K = tuple(map(tuple, gram)), tuple(K)
@@ -79,7 +76,7 @@ class SurfaceLattice(namedtuple("SurfaceLattice", "gram K A")):
             if len(A) != n:
                 raise ValueError("polarization vector length must match the basis")
             require_ints("polarization entries", A)
-        return super().__new__(cls, gram, K, A)
+        return tuple.__new__(cls, (gram, K, A))
 
     def with_polarization(self, A: Sequence[int]) -> SurfaceLattice:
         return SurfaceLattice(self.gram, self.K, tuple(A))
@@ -157,7 +154,7 @@ def sectional_genus_surface(KA: int, AA: int) -> int:
     return (KA + AA) // 2 + 1
 
 
-class MinimalizationResult(namedtuple("MinimalizationResult", "g AA KK")):
+class MinimalizationResult(Record):
     """Sectional genus, A^2 and K^2 of (S, A)."""
 
     __slots__ = ()
@@ -183,7 +180,7 @@ def minimalization_invariants(
     )
 
 
-class DegTRow(namedtuple("DegTRow", "degT degG c2 L3")):
+class DegTRow(Record):
     """One row of the quotient-degree bookkeeping: degT, degG = 1 - degT, c2 and L^3."""
 
     __slots__ = ()

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from operator import attrgetter
@@ -28,6 +27,7 @@ from . import classify, surflat
 from .chowcurve import (
     BaseCurve,
     ProjBundleModel,
+    Record,
     canonical_class,
     multiply_classes,
     quadric_invariants,
@@ -40,7 +40,7 @@ class FixtureError(ValueError):
     """Malformed fixture file; the message names the row and field."""
 
 
-class ClassificationRow(namedtuple("ClassificationRow", "table key params")):
+class ClassificationRow(Record):
     """One fixture row: its table, its key and the checked mapping itself."""
 
     __slots__ = ()
@@ -49,9 +49,7 @@ class ClassificationRow(namedtuple("ClassificationRow", "table key params")):
     params: dict
 
 
-class TableSpec(
-    namedtuple("TableSpec", "fields key recompute check", defaults=(lambda index, raw: None,))
-):
+class TableSpec(Record):
     """One published table: its fixture schema, row key and recomputation.
 
     ``check`` defaults to accepting every row.
@@ -61,7 +59,8 @@ class TableSpec(
     fields: tuple[str, ...]  # required integer fields, in exact-list tuple order
     key: Callable[[Mapping], str]
     recompute: Callable[[TableSpec, Sequence[ClassificationRow]], Iterable[Verdict]]
-    check: Callable[[int, Mapping], None]  # every field beyond ``fields``
+    # every field beyond ``fields``
+    check: Callable[[int, Mapping], None] = lambda index, raw: None
 
 
 def _is_int(value) -> bool:
@@ -163,23 +162,17 @@ def packaged_fixture_path(table: str) -> str:
 # verification reports
 
 
-class Verdict(
-    namedtuple(
-        "Verdict",
-        "key verdict note expected recomputed whitelisted unexpected",
-        defaults=("", "", "", False, False),
-    )
-):
+class Verdict(Record):
     """One row's verdict, with the numbers it compared and how it counts."""
 
     __slots__ = ()
     key: str
     verdict: str  # "verified" | "discrepancy" | "beyond-paper" | "paper-only"
-    note: str
-    expected: str
-    recomputed: str
-    whitelisted: bool
-    unexpected: bool
+    note: str = ""
+    expected: str = ""
+    recomputed: str = ""
+    whitelisted: bool = False
+    unexpected: bool = False
 
 
 _VERDICT_COLUMNS = ("key", "verdict", "expected", "recomputed", "whitelisted", "unexpected", "note")
@@ -227,7 +220,7 @@ def _json_document(payload: Mapping) -> str:
     return "{\n  " + ",\n  ".join(members) + "\n}"
 
 
-class VerificationReport(namedtuple("VerificationReport", "table verdicts")):
+class VerificationReport(Record):
     """Every verdict of one table's verification, in text, JSON or CSV."""
 
     __slots__ = ()
@@ -550,7 +543,7 @@ def naive_top_degree(
     return naive_product(rank, c1, factors, start).get((rank - 1, 1), 0)
 
 
-class IdentityCounterexample(namedtuple("IdentityCounterexample", "n d g_C lhs rhs")):
+class IdentityCounterexample(Record):
     """A grid point where the variant degree/defect relation fails: lhs != rhs."""
 
     __slots__ = ()
@@ -561,13 +554,7 @@ class IdentityCounterexample(namedtuple("IdentityCounterexample", "n d g_C lhs r
     rhs: int
 
 
-class SelfTestReport(
-    namedtuple(
-        "SelfTestReport",
-        "grid_points grid_mismatches max_deviation veronese_points veronese_mismatches "
-        "corrected_identity_points corrected_identity_failures variant_identity_counterexamples",
-    )
-):
+class SelfTestReport(Record):
     """The oracle self-test's counts, in text or JSON."""
 
     __slots__ = ()
@@ -726,9 +713,7 @@ def oracle_selftest() -> SelfTestReport:
                             identity_failures += 1
                         lhs = (n + 1) * d + s + 4 * n * g_c
                         if lhs != rhs:
-                            counterexamples.append(
-                                IdentityCounterexample(n=n, d=d, g_C=g_c, lhs=lhs, rhs=rhs)
-                            )
+                            counterexamples.append(IdentityCounterexample(n, d, g_c, lhs, rhs))
 
     # feature the canonical counterexample when the probe finds it, then order
     # the rest by g(C), n and d

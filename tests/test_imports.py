@@ -75,10 +75,35 @@ def test_cli_import_adds_only_genus3_modules():
 def test_cli_import_loads_neither_resources_nor_inspect():
     # without site (-S), which on some installs loads importlib.resources and
     # typing for a .pth file: from Python 3.12 on, importlib.resources imports
-    # inspect itself, and defining a typing.NamedTuple costs about twice what a
-    # collections.namedtuple subclass does
+    # inspect itself, and defining a typing.NamedTuple costs more than a
+    # collections.namedtuple subclass, which costs several times what a
+    # chowcurve.Record subclass does
     cli = modules_after("import genus3.tablecli", "-S")
     assert {"importlib.resources", "inspect", "typing"} & cli == set()
+
+
+NO_NAMEDTUPLE = """
+import collections
+
+def namedtuple(*args, **kwargs):
+    raise AssertionError(f"collections.namedtuple{args!r} on the CLI's import path")
+
+collections.namedtuple = namedtuple
+import genus3.tablecli
+"""
+
+
+def test_cli_import_defines_no_namedtuple():
+    # collections.namedtuple compiles each record's __new__ with eval and
+    # builds a second class under it: on CPython 3.11, a four-field record
+    # costs about 94 us that way and 13 us as a chowcurve.Record subclass,
+    # and genus3 defines 27.  A few ms is too small to see in wall-clock
+    # timings, so a record built on namedtuple again fails here instead.
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NAMEDTUPLE], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # the benchmark's CLI command lines (perfbench/workloads.py, CLI_COMMANDS)

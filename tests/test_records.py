@@ -1,6 +1,8 @@
-"""The record types: immutable named tuples that validate on every construction
-path, that do not fall back to tuple behaviour where it would change their
-meaning, and that keep dataclass definitions off the CLI's import path."""
+"""The record types: immutable named tuples, each a subclass of ``chowcurve.Record``
+whose fields are its annotations, that behave as ``collections.namedtuple``'s do,
+validate on every construction path, do not fall back to tuple behaviour where it
+would change their meaning, and keep dataclass definitions off the CLI's import
+path."""
 
 import copy
 import inspect
@@ -9,12 +11,15 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus3 import chowcurve, classify, surflat, tablecli
-from genus3.chowcurve import BaseCurve, DivisorClass, ProjBundleModel, SplittingType
+from genus3.chowcurve import BaseCurve, DivisorClass, ProjBundleModel, Record, SplittingType
 from genus3.classify import QuadricParams
 from genus3.surflat import WeightSequence, make_plane
 
@@ -51,23 +56,51 @@ RECORDS = [
     and issubclass(value, tuple)
     and hasattr(value, "_fields")
     and value.__module__ == module.__name__
+    and value is not Record
 ]
+
+# the index accessor collections.namedtuple puts on each field
+ACCESSOR = type(namedtuple("Point", "x").x)
 
 
 def test_every_record_annotates_its_fields_and_binds_none_in_its_body():
-    # Each record is a subclass of a collections.namedtuple that declares one
-    # annotation per field.  A value given to a field there (note: str = "")
-    # would shadow the field's property, so every record would read that value.
-    # Its __slots__ = () keeps a __dict__ off every instance.
+    # Each record subclasses Record, which reads its fields from its own
+    # annotations and replaces whatever the class body bound to a field (its
+    # default) with the field's index accessor, so no value can shadow a
+    # field.  Its __slots__ = () keeps a __dict__ off every instance.
     assert len(RECORDS) == 27
     wrong = {}
     for record in RECORDS:
-        annotated = list(inspect.get_annotations(record))
-        bound = [name for name in record._fields if name in vars(record)]
+        annotated = tuple(inspect.get_annotations(record))
+        row = tuple(range(len(annotated)))
+        indices = [
+            getter.__get__(row, record) if type(getter) is ACCESSOR else getter
+            for getter in map(vars(record).get, annotated)
+        ]
         slots = vars(record).get("__slots__")
-        if (annotated, bound, slots) != (list(record._fields), [], ()):
-            wrong[record.__qualname__] = (annotated, bound, slots)
+        actual = (issubclass(record, Record), record._fields, indices, slots)
+        if actual != (True, annotated, list(row), ()):
+            wrong[record.__qualname__] = actual
     assert wrong == {}
+
+
+def test_a_class_body_value_is_the_field_default():
+    class Pair(Record):
+        __slots__ = ()
+        first: int
+        second: str = "none"
+
+    assert (Pair._fields, Pair._field_defaults) == (("first", "second"), {"second": "none"})
+    assert Pair(1) == (1, "none") and Pair(1, "b").second == "b"
+    assert type(vars(Pair)["second"]) is ACCESSOR
+
+
+def test_a_field_without_a_default_after_one_with_a_default_is_rejected():
+    with pytest.raises(TypeError, match="'second' has no default"):
+        class Pair(Record):
+            __slots__ = ()
+            first: int = 0
+            second: str
 
 
 # a passing self-test report, built by hand
@@ -110,6 +143,75 @@ def test_make_and_replace_validate(name):
     with pytest.raises(ValueError):
         record._replace(**{field: bad})
     assert record._replace() == record and type(record._replace()) is type(record)
+
+
+# a valid record of each validating named tuple, by type
+VALID = {type(record).__name__: record for record, _, _ in VALIDATING.values()}
+
+# the defaults each record declares, as collections.namedtuple's defaults=
+DEFAULTS = {
+    "Candidate": (None, None, False),
+    "Verdict": ("", "", "", False, False),
+    "TableSpec": (tablecli.TableSpec._field_defaults["check"],),
+}
+
+# hashable, picklable field values
+FIELD_VALUES = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.tuples(st.integers())
+)
+
+
+def raised(build):
+    try:
+        build()
+    except Exception as error:
+        return type(error)
+    return None
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_records_behave_as_the_namedtuple_with_their_fields(record, data):
+    fields = tuple(inspect.get_annotations(record))
+    oracle = namedtuple(record.__name__, fields, defaults=DEFAULTS.get(record.__name__, ()))
+    if record.__name__ in VALID:
+        values = tuple(VALID[record.__name__])
+        replacement = values[0]
+    else:
+        values = data.draw(st.tuples(*[FIELD_VALUES] * len(fields)))
+        replacement = data.draw(FIELD_VALUES)
+    keywords = dict(zip(fields, values))
+    built, expected = record(*values), oracle(*values)
+    assert type(built) is record and type(record(**keywords)) is record
+    assert record(**keywords) == built == expected == values
+    assert hash(built) == hash(values)
+    required = len(fields) - len(oracle._field_defaults)
+    assert record(*values[:required]) == oracle(*values[:required])
+    assert repr(built) == repr(expected)
+    assert list(built._asdict().items()) == list(expected._asdict().items())
+    made = record._make(values)
+    assert made == oracle._make(values) and type(made) is record
+    replaced = built._replace(**{fields[0]: replacement})
+    assert replaced == expected._replace(**{fields[0]: replacement})
+    assert type(replaced) is record
+    assert (record._fields, record._field_defaults, record.__match_args__) == (
+        oracle._fields, oracle._field_defaults, oracle.__match_args__,
+    )
+    twins = [copy.copy(built), copy.deepcopy(built)]
+    twins += [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(2, 6)]
+    assert all(twin == built and type(twin) is record for twin in twins)
+    # a missing, extra, unknown or repeated field: the named tuple's TypeError
+    for build in (
+        lambda cls: cls(**{field: keywords[field] for field in fields[1:]}),
+        lambda cls: cls(*values, values[0]),
+        lambda cls: cls(*values, not_a_field=0),
+        lambda cls: cls(*values, **{fields[0]: values[0]}),
+        lambda cls: cls._make(values[1:]),
+    ):
+        assert raised(lambda: build(record)) is raised(lambda: build(oracle)) is TypeError
+    assert raised(lambda: built._replace(not_a_field=0)) is ValueError
+    assert raised(lambda: expected._replace(not_a_field=0)) is ValueError
 
 
 @pytest.mark.parametrize(
