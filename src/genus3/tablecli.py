@@ -14,16 +14,20 @@ of standard output closes it early (nothing is printed on standard error).
 
 from __future__ import annotations
 
+import atexit
+import gc
 import io
 import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 from types import SimpleNamespace
 
-from . import classify, surflat
+# classify and surflat are imported by the functions that use them, so each
+# command loads only the engines it runs; ``from __future__ import annotations``
+# never evaluates the annotations that name ``classify.Candidate``
 from .chowcurve import (
     BaseCurve,
     ProjBundleModel,
@@ -264,6 +268,8 @@ class VerificationReport(Record):
 
 
 def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
+    from . import surflat
+
     for index, row in enumerate(rows):
         params = row.params
         read = surflat.FAMILIES[params["family"]][0]  # the fields the minimal model reads
@@ -301,7 +307,9 @@ def _published_at(rows: Iterable[ClassificationRow], d: int) -> dict[tuple[int, 
 
 
 def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
-    for d in _RATIONAL_D_WINDOW:  # verify has checked every row's d into the window
+    from . import classify
+
+    for d in _rational_d_window():  # verify has checked every row's d into the window
         published = _published_at(rows, d)
         candidates = classify.enumerate_quadric_splittings(d, paper_rows=published)
         admitted = [c for c in candidates if c.rule is None]
@@ -373,7 +381,7 @@ def _is_splitting(value) -> bool:
 def _check_2_3(index: int, raw: Mapping) -> None:
     """A 2.3 row's family and that family's integer parameters; the optional
     integer ``e``, positive integer weights and boolean ``expect_discrepancy``."""
-    families = surflat.FAMILIES
+    families = _families_2_3()
     _require(
         index, raw, "family",
         lambda v: isinstance(v, str) and v in families, "one of " + ", ".join(families),
@@ -392,8 +400,27 @@ def _check_2_3(index: int, raw: Mapping) -> None:
         _require(index, raw, "expect_discrepancy", lambda v: type(v) is bool, "true or false")
 
 
-# the rational base's degree window, widest at n = 3
-_RATIONAL_D_WINDOW = classify.QuadricParams(0, 3).d_range
+# the schema checks run once per row, so the engine data they read is looked up
+# once, not imported per row
+@cache
+def _families_2_3() -> Mapping:
+    from . import surflat
+
+    return surflat.FAMILIES
+
+
+@cache
+def _rational_base(n: int) -> classify.QuadricParams:
+    """The rational base's ``classify.QuadricParams`` at fibration dimension ``n``."""
+    from . import classify
+
+    return classify.QuadricParams(0, n)
+
+
+@cache
+def _rational_d_window() -> range:
+    """The rational base's degree window, widest at n = 3."""
+    return _rational_base(3).d_range
 
 
 def _check_3_25(index: int, raw: Mapping) -> None:
@@ -404,10 +431,30 @@ def _check_3_25(index: int, raw: Mapping) -> None:
         _is_splitting, "an integer array, ascending, with at least 4 entries",
     )
     _require(index, raw, "status", _is_text, "printable text")
-    window = _RATIONAL_D_WINDOW
+    window = _rational_d_window()
     _require(index, raw, "d", window.__contains__, f"in [{window[0]}, {window[-1]}]")
-    e = classify.QuadricParams(0, len(raw["splitting"]) - 1).e(raw["d"])
+    e = _rational_base(len(raw["splitting"]) - 1).e(raw["d"])
     _require(index, raw, "splitting", lambda v: sum(v) == e, f"an array summing to e = {e}")
+
+
+# the exact-list tables' recomputations: each looks its function up per call,
+# so a tracer that swaps it in sees it
+def _general_type_tuples() -> Sequence[tuple]:
+    from . import classify
+
+    return classify.reduction_tuples().general_type_tuples
+
+
+def _deg_t_enumeration() -> Sequence[tuple]:
+    from . import surflat
+
+    return surflat.deg_t_enumeration()
+
+
+def _veronese_solutions() -> Sequence[tuple]:
+    from . import classify
+
+    return classify.veronese_solutions()
 
 
 def _check_4_4(index: int, raw: Mapping) -> None:
@@ -431,20 +478,17 @@ TABLES: dict[str, TableSpec] = {
     "5.7": TableSpec(
         fields=("Ln", "r", "Lpn"),
         key=lambda raw: f"({raw['Ln']},{raw['r']},{raw['Lpn']})",
-        recompute=partial(
-            _verify_exact_list, lambda: classify.reduction_tuples().general_type_tuples
-        ),
+        recompute=partial(_verify_exact_list, _general_type_tuples),
     ),
     "2.8.2": TableSpec(
         fields=("degT", "degG", "c2", "L3"),
         key=lambda raw: f"degT={raw['degT']}",
-        # a lambda looks the function up per call, so a tracer that swaps it in sees it
-        recompute=partial(_verify_exact_list, lambda: surflat.deg_t_enumeration()),
+        recompute=partial(_verify_exact_list, _deg_t_enumeration),
     ),
     "4.4": TableSpec(
         fields=("g_C", "e", "b", "d"),
         key=lambda raw: f"type {raw.get('type', raw['d'])}",
-        recompute=partial(_verify_exact_list, lambda: classify.veronese_solutions()),
+        recompute=partial(_verify_exact_list, _veronese_solutions),
         check=_check_4_4,
     ),
 }
@@ -823,20 +867,18 @@ def _candidates_csv(candidates: Sequence[classify.Candidate]) -> str:
     return buffer.getvalue()
 
 
-_RULES_BY_NAME = {rule.name: rule for rule in classify.RULES}
-
-
 def _parse_rules(spec: str) -> list:
+    from . import classify
+
     if spec == "default":
         return classify.default_rules()
+    by_name = {rule.name: rule for rule in classify.RULES}
     rules = []
     for name in spec.split(","):
         name = name.strip()
-        if name not in _RULES_BY_NAME:
-            raise ValueError(
-                f"unknown rule {name!r}; choose from {', '.join(sorted(_RULES_BY_NAME))}"
-            )
-        rules.append(_RULES_BY_NAME[name]())
+        if name not in by_name:
+            raise ValueError(f"unknown rule {name!r}; choose from {', '.join(sorted(by_name))}")
+        rules.append(by_name[name]())
     return rules
 
 
@@ -853,6 +895,8 @@ def _emit(fmt: str, **render: Callable[[], str]) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import classify
+
     default_stop = classify.default_n_range(args.d).stop
     n_range = range(args.n_min, default_stop if args.n_max is None else args.n_max + 1)
     rules = _parse_rules(args.rules)
@@ -910,11 +954,8 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
             "--d": {"type": int, "required": True, "help": "degree L^n"},
             "--n-min": {"type": int, "default": 3},
             "--n-max": {"type": int},
-            "--rules": {
-                "default": "default",
-                "help": "'default' or a comma-separated rule list "
-                f"({', '.join(sorted(_RULES_BY_NAME))})",
-            },
+            # build_parser appends the rule names to this help
+            "--rules": {"default": "default", "help": "'default' or a comma-separated rule list"},
             "--format": {"choices": _FORMATS, "default": "table"},
         },
     ),
@@ -940,6 +981,9 @@ def build_parser():
     usage errors."""
     import argparse  # loaded only for the command lines that _strict_args leaves to it
 
+    from . import classify
+
+    rule_names = ", ".join(sorted(rule.name for rule in classify.RULES))
     parser = argparse.ArgumentParser(
         prog="genus3",
         description=(
@@ -951,6 +995,8 @@ def build_parser():
     for name, (func, summary, options) in COMMANDS.items():
         command = sub.add_parser(name, help=summary)
         for flag, option in options.items():
+            if flag == "--rules":
+                option = option | {"help": f"{option['help']} ({rule_names})"}
             command.add_argument(flag, **option)
         command.set_defaults(func=func)
     return parser
@@ -994,8 +1040,21 @@ def _strict_args(argv: Sequence[str]) -> SimpleNamespace | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the CLI on ``argv`` and return its exit code.
+
+    With ``argv`` None, ``main`` runs as the program, on ``sys.argv[1:]``, and
+    registers ``gc.freeze`` with ``atexit``: the cyclic collections of the
+    interpreter's exit then skip every object alive at that point, instead of
+    walking the whole heap to free memory the OS reclaims anyway.  What is
+    skipped is only the finalizers and the freeing of objects left in
+    reference cycles at exit; stdout is flushed here, every fixture is read
+    under ``with`` and no genus3 object has a finalizer, so the output and
+    the exit code stay the same.  A caller that passes ``argv`` keeps its
+    collector as it is.
+    """
     if argv is None:
         argv = sys.argv[1:]
+        atexit.register(gc.freeze)
     args = _strict_args(argv) or build_parser().parse_args(argv)
     try:
         status = args.func(args)

@@ -17,6 +17,7 @@ from genus3 import tablecli
 # the modules genus3's modules import at top level (submodules named in full)
 STDLIB_IMPORTS = (
     "__future__",
+    "atexit",
     "collections",
     "collections.abc",
     "functools",
@@ -116,25 +117,49 @@ BENCHMARK_COMMAND_LINES = (
     *(f"verify --table {table}" for table in tablecli.TABLE_IDS),
 )
 
+# main(), as the program, or main(sys.argv[1:]), as an in-process caller; the
+# hook registered before main runs after any hook main registers, and prints
+# how many objects the exit's collections skip
 RUN_CLI = (
-    "import sys\nfrom genus3.tablecli import main\nstatus = main()\n"
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+    "from genus3.tablecli import main\nstatus = main({argv})\n"
     "print(*sorted(sys.modules), file=sys.stderr)\nsys.exit(status)"
 )
 
 
+def genus3_modules(words):
+    """The genus3 modules a benchmark command line loads: invariants reads only
+    the ring, the 2.3 and 2.8.2 tables the surface lattices too, and every other
+    command the classification engines instead."""
+    if words[0] == "invariants":
+        used = set()
+    elif words[-1] in ("2.3", "2.8.2"):
+        used = {"genus3.surflat"}
+    else:
+        used = {"genus3.classify"}
+    return {"genus3", "genus3.chowcurve", "genus3.tablecli"} | used
+
+
 def test_a_well_formed_command_loads_no_argparse():
     # argparse is for help and usage errors: a command it need not parse loads
-    # neither it nor gettext and locale, which its first message pulls in
-    for line in BENCHMARK_COMMAND_LINES:
+    # neither it nor gettext and locale, which its first message pulls in.
+    # main() as the program freezes the collector at exit; the first line,
+    # given its argv, leaves it as it is
+    for i, line in enumerate(BENCHMARK_COMMAND_LINES):
+        argv = "sys.argv[1:]" if i == 0 else ""
         result = subprocess.run(
-            [sys.executable, "-c", RUN_CLI, *line.split()],
+            [sys.executable, "-c", RUN_CLI.format(argv=argv), *line.split()],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
         )
         assert result.returncode == 0, result.stderr
-        loaded = set(result.stderr.split())
+        modules, frozen = result.stderr.splitlines()
+        loaded = set(modules.split())
         assert {"argparse", "gettext", "locale"} & loaded == set(), line
         assert ("csv" in loaded) == line.endswith("--format csv"), line
+        assert {m for m in loaded if m.startswith("genus3")} == genus3_modules(line.split()), line
+        assert (int(frozen) > 0) == (argv == ""), (line, frozen)
 
 
 # public names no genus3 code or acceptance test reaches, kept on purpose: the
