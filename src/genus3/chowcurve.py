@@ -56,6 +56,9 @@ class Record(tuple):
             setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
         cls._fields = cls.__match_args__ = fields
         cls._field_defaults = defaults
+        # for keyword-only calls: every field in order, with its default or None
+        cls._keyword_fill = dict.fromkeys(fields) | defaults
+        cls._required_fields = frozenset(fields) - defaults.keys()
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
@@ -86,8 +89,18 @@ class Record(tuple):
         return tuple(self)
 
 
-def _arguments(cls: type[Record], args: tuple, kwargs: dict) -> list:
-    """The field values of ``cls(*args, **kwargs)``, or the named tuple's ``TypeError``."""
+def _arguments(cls: type[Record], args: tuple, kwargs: dict) -> tuple | list:
+    """The field values of ``cls(*args, **kwargs)``, or the named tuple's ``TypeError``.
+
+    A keyword-only call that names every required field and no unknown
+    one fills ``_keyword_fill`` in C: the fill keeps the fields' order,
+    and an unknown name would grow it past them.  Every other call binds
+    field by field, which also finds the error to raise.
+    """
+    if not args and kwargs.keys() >= cls._required_fields:
+        filled = cls._keyword_fill | kwargs
+        if len(filled) == len(cls._fields):
+            return tuple(filled.values())
     fields = cls._fields
     rest, given = fields[len(args):], cls._field_defaults | kwargs
     if len(args) > len(fields):

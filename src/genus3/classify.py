@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 from collections.abc import Mapping, Sequence
+from functools import lru_cache
 from itertools import repeat
 
 from . import chowcurve
@@ -364,6 +365,70 @@ def _tails(slots: int, cap2: int, most: int) -> dict[int, list[tuple[int, ...]]]
     return by_sum
 
 
+# room for the 24 keys of the d = 1..12 sweep at n = 3..14 and of each degree's default range
+_PATTERN_TABLES = 32
+
+
+@lru_cache(maxsize=_PATTERN_TABLES)
+def _patterns(
+    d: int, e: int, width: int
+) -> tuple[tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...], frozenset[int]]:
+    """The sorted (head, size, tail) patterns of the e_0 <= 0 regime, and their sizes.
+
+    The patterns, as ``_generate_splittings`` describes them, of tuples
+    summing to e with at most ``width`` entries at degree d: a head of
+    negative entries (or a lone 0), the number of entries in head and tail,
+    and a tail of positive ones.  Heads come from an explicit-stack walk
+    that drops a head leaving its tail more than the slots after it can
+    carry; the walk is reversed at the end, so that each head follows
+    every head extending it.  Tails come from one ``_tails`` call.
+
+    The table depends only on its key (d, e, width), so the last
+    ``_PATTERN_TABLES`` keys are kept for the process, least recently used
+    first out, as immutable values.  The 24 tables that the d = 1..12
+    sweep at n = 3..14 and each degree's default range use hold 9,238
+    patterns, about 0.9 MiB (``sys.getsizeof``, each object once); the
+    largest, at d = 11 and width 15, holds 2,744.  A table grows with its
+    width (d = 11, width 23: 67,117 patterns, 5.6 MiB; d = 5, width 61:
+    966,468 patterns, 175 MiB), so ``_PATTERN_TABLES`` tables of the
+    widest a caller asks for is the most this keeps.  A call holds its
+    table for its whole length in any case.  No padded tuple or candidate
+    is kept: those grow with every fibre dimension of a call, and a
+    listing must be able to drop them as it writes them.
+    """
+    cap2 = (d - 1) // 2
+    half = cap2 // 2
+
+    # heads as (head, sum), each walked before its extensions, and these
+    # from a last entry of -1 down: reversed, that is the patterns' order.
+    # The empty head stands as (0,), since a tuple without negatives needs a 0
+    heads = []
+    stack = [((), 0)]
+    while stack:
+        head, head_sum = stack.pop()
+        heads.append((head or (0,), head_sum))
+        slots = width - len(head) - 1  # tail slots once one more entry is taken
+        if slots < 0:
+            continue
+        # one more entry v leaves the tail e - head_sum - v, at most what it can carry
+        low = e - head_sum - (cap2 + max(slots - 2, 0) * half if slots else 0)
+        if head and low < head[-1]:
+            low = head[-1]
+        for v in range(low, 0):
+            stack.append((head + (v,), head_sum + v))
+    heads.reverse()
+
+    # patterns (head, entries in head and tail, tail), sorted
+    tails = _tails(width - 1, cap2, e - min(head_sum for _, head_sum in heads))
+    patterns = []
+    for head, head_sum in heads:
+        size = len(head)
+        patterns += [
+            (head, size + len(t), t) for t in tails.get(e - head_sum, ()) if size + len(t) <= width
+        ]
+    return tuple(patterns), frozenset(size for _, size, _ in patterns)
+
+
 def _generate_splittings(d: int, e: int, dims: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
     """Ascending candidate tuples of length n+1 summing to e, sorted, for each n in ``dims``.
 
@@ -404,46 +469,16 @@ def _generate_splittings(d: int, e: int, dims: Sequence[int]) -> dict[int, list[
         cap2 - e >= n - 1 and so occurs only at d <= 3 and n <= 4;
       * the second regime.
 
-    Heads come from an explicit-stack walk that drops a head leaving its
-    tail more than the slots after it can carry; the walk is reversed at
-    the end, so that each head follows every head extending it.  Tails
-    come from one ``_tails`` call.  Nothing outlives the call.
+    The sorted patterns for the largest n come from ``_patterns``, which
+    keeps the last ``_PATTERN_TABLES`` (d, e, width) tables for the
+    process.  Each call pads them into lists of its own: what it returns
+    shares no list with a later call, and no padded tuple outlives the
+    result.
     """
     cap2 = (d - 1) // 2
-    half = cap2 // 2
     width = max(dims) + 1
-
-    # heads as (head, sum), each walked before its extensions, and these
-    # from a last entry of -1 down: reversed, that is the patterns' order.
-    # The empty head stands as (0,), since a tuple without negatives needs a 0
-    heads = []
-    stack = [((), 0)]
-    while stack:
-        head, head_sum = stack.pop()
-        heads.append((head or (0,), head_sum))
-        slots = width - len(head) - 1  # tail slots once one more entry is taken
-        if slots < 0:
-            continue
-        # one more entry v leaves the tail e - head_sum - v, at most what it can carry
-        low = e - head_sum - (cap2 + max(slots - 2, 0) * half if slots else 0)
-        if head and low < head[-1]:
-            low = head[-1]
-        for v in range(low, 0):
-            stack.append((head + (v,), head_sum + v))
-    heads.reverse()
-
-    # patterns (head, entries in head and tail, tail), sorted
-    tails = _tails(width - 1, cap2, e - min(head_sum for _, head_sum in heads))
-    patterns = []
-    for head, head_sum in heads:
-        size = len(head)
-        patterns += [
-            (head, size + len(t), t) for t in tails.get(e - head_sum, ()) if size + len(t) <= width
-        ]
-
-    sizes = {size for _, size, _ in patterns}
+    live, sizes = _patterns(d, e, width)
     result = {}
-    live = patterns
     for n in sorted(dims, reverse=True):
         length = n + 1
         if length < width:

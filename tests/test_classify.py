@@ -488,6 +488,60 @@ class TestGenerator:
                         assert trace is not None, (d, t)
 
 
+class TestPatternCache:
+    """``_patterns`` keeps each (d, e, width) table for the process, and nothing else."""
+
+    # a narrower range follows a wider one; [14] shares the first range's table
+    RANGES = [range(3, 15), range(3, 23), range(3, 8), [3, 5, 9], [3], [14]]
+
+    def test_a_warm_table_gives_what_a_cold_one_gives(self):
+        info = classify._patterns.cache_info
+        # the collector would only rescan the growing lists: off, this takes half the time
+        gc.disable()
+        try:
+            for d, e in [(d, e) for d in range(1, 13) for e in (d - 4, d - 2, d - 6)]:
+                # every table cold but the last range's, which the first built
+                classify._patterns.cache_clear()
+                first = [classify._generate_splittings(d, e, dims) for dims in self.RANGES]
+                assert info().misses == len(self.RANGES) - 1, (d, e)
+                warm = [classify._generate_splittings(d, e, dims) for dims in self.RANGES]
+                assert info().hits == len(self.RANGES) + 1, (d, e)
+                assert warm == first, (d, e)
+                classify._patterns.cache_clear()
+                assert warm[-1] == classify._generate_splittings(d, e, self.RANGES[-1]), (d, e)
+        finally:
+            gc.enable()
+
+    def test_the_cache_holds_immutable_tables_and_no_returned_list(self):
+        table, sizes = classify._patterns(11, 7, 15)
+        assert type(table) is tuple and type(sizes) is frozenset
+        assert all(
+            type(pattern) is tuple and type(pattern[0]) is tuple and type(pattern[2]) is tuple
+            for pattern in table
+        )
+        classify._patterns.cache_clear()
+        cold = classify._generate_splittings(11, 7, range(3, 15))
+        expected = {n: list(tuples) for n, tuples in cold.items()}
+        for _ in range(2):
+            generated = classify._generate_splittings(11, 7, range(3, 15))
+            assert generated == expected
+            generated[14].clear()
+            generated[13].append((0,) * 14)
+            generated[12].reverse()
+            del generated[3]
+
+    def test_the_sweep_and_the_default_ranges_fit_without_eviction(self):
+        info = classify._patterns.cache_info
+        assert type(info().maxsize) is int
+        classify._patterns.cache_clear()
+        for _ in range(2):
+            for d in range(1, 13):
+                enumerate_quadric_splittings(d, n_range=range(3, 15))
+                enumerate_quadric_splittings(d)
+        # 24 keys: (d, d - 4, 15) for the sweep and one per degree's default range
+        assert (info().misses, info().hits, info().currsize) == (24, 24, 24)
+
+
 class TestTraceEquivalence:
     """Checking (d, n)-only rules once per n gives the per-candidate traces."""
 

@@ -188,6 +188,8 @@ def test_records_behave_as_the_namedtuple_with_their_fields(record, data):
     assert hash(built) == hash(values)
     required = len(fields) - len(oracle._field_defaults)
     assert record(*values[:required]) == oracle(*values[:required])
+    least = dict(zip(fields[:required], values))
+    assert record(**least) == oracle(**least) and type(record(**least)) is record
     assert repr(built) == repr(expected)
     assert list(built._asdict().items()) == list(expected._asdict().items())
     made = record._make(values)
@@ -206,6 +208,8 @@ def test_records_behave_as_the_namedtuple_with_their_fields(record, data):
         lambda cls: cls(**{field: keywords[field] for field in fields[1:]}),
         lambda cls: cls(*values, values[0]),
         lambda cls: cls(*values, not_a_field=0),
+        lambda cls: cls(**keywords, not_a_field=0),
+        lambda cls: cls(**least, not_a_field=0),
         lambda cls: cls(*values, **{fields[0]: values[0]}),
         lambda cls: cls._make(values[1:]),
     ):
