@@ -29,6 +29,25 @@ def require_ints(what: str, values: Sequence) -> None:
         raise ValueError(f"{what} must be of type int, got {bad!r}")
 
 
+_PRINTED_DIGITS = 50  # below the least digit limit an interpreter can set, 640
+
+
+def int_text(value: int) -> str:
+    """``str(value)`` up to ``_PRINTED_DIGITS`` digits; past that, only how many it has.
+
+    An error message that names a value prints it with this, so its length is
+    bounded, and an int past the interpreter's digit limit never reaches ``str``.
+    """
+    size = abs(value)
+    if size < 10**_PRINTED_DIGITS:
+        return str(value)
+    # a lower bound on the digit count, as 0.30102 < log10(2); then count up exactly
+    digits = (size.bit_length() - 1) * 30102 // 100000 + 1
+    while size >= 10**digits:
+        digits += 1
+    return f"an integer of {digits} digits"
+
+
 _tuple_new = tuple.__new__  # a module global: one lookup fewer on every record built
 
 

@@ -524,7 +524,9 @@ def enumerate_quadric_splittings(
     order, recording either admission or the first excluding rule.  The
     output is canonically sorted by (n, splitting) and is deterministic.
     The base is rational: e, b and s at each n come from
-    ``QuadricParams(0, n)``, which also rejects n < 3.
+    ``QuadricParams(0, n)``, which also rejects n < 3.  A degree past the
+    window ``QuadricParams(0, 3).d_range`` (1..12) is a ValueError: there
+    s < 0 at every n >= 3, so every tuple would be excluded.
 
     The leading run of rules whose verdict reads only (d, b, s), marked
     ``reads_splitting = False``, is checked once per fibre dimension.
@@ -549,12 +551,19 @@ def enumerate_quadric_splittings(
     """
     chowcurve.require_ints("degree", (d,))
     if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+        raise ValueError(f"degree must be >= 1, got {chowcurve.int_text(d)}")
     n_range = tuple(default_n_range(d) if n_range is None else n_range)
     chowcurve.require_ints("fibre dimensions", n_range)
     dims = sorted(set(n_range))
     if not dims:
-        raise ValueError(f"empty fibre-dimension range at d = {d}")
+        raise ValueError(f"empty fibre-dimension range at d = {chowcurve.int_text(d)}")
+    window = QuadricParams(0, 3).d_range  # the widest: s falls with n once b < 0
+    if d not in window:
+        # every tuple would be a param-consistency exclusion, and there are too many to list
+        raise ValueError(
+            f"degree must be in {window.start}..{window.stop - 1}, got {chowcurve.int_text(d)}: "
+            f"s < 0 at every fibre dimension n >= 3"
+        )
     params = [QuadricParams(0, n) for n in dims]
     if rules is None:
         rules = default_rules()

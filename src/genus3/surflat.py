@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 
-from .chowcurve import Record, require_ints
+from .chowcurve import Record, int_text, require_ints
 
 
 class RuledModel(Record):
@@ -126,25 +126,6 @@ def blow_up(lattice: SurfaceLattice, weights: WeightSequence) -> SurfaceLattice:
         K=lattice.K + (1,) * r,
         A=lattice.A + tuple(-m for m in weights.weights),
     )
-
-
-_PRINTED_DIGITS = 50  # below the least digit limit an interpreter can set, 640
-
-
-def int_text(value: int) -> str:
-    """``str(value)`` up to ``_PRINTED_DIGITS`` digits; past that, only how many it has.
-
-    An error message that names a value prints it with this, so its length is
-    bounded, and an int past the interpreter's digit limit never reaches ``str``.
-    """
-    size = abs(value)
-    if size < 10**_PRINTED_DIGITS:
-        return str(value)
-    # a lower bound on the digit count, as 0.30102 < log10(2); then count up exactly
-    digits = (size.bit_length() - 1) * 30102 // 100000 + 1
-    while size >= 10**digits:
-        digits += 1
-    return f"an integer of {digits} digits"
 
 
 def sectional_genus_surface(KA: int, AA: int) -> int:

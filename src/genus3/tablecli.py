@@ -33,6 +33,7 @@ from .chowcurve import (
     ProjBundleModel,
     Record,
     canonical_class,
+    int_text,
     multiply_classes,
     quadric_invariants,
     top_degree,
@@ -276,7 +277,7 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         try:
             result = surflat.verify_row_2_3(params)
         except ValueError as exc:  # a checked row fails here only on an odd K.A + A^2
-            given = ", ".join(f"{n!r} = {surflat.int_text(params[n])}" for n in read)
+            given = ", ".join(f"{n!r} = {int_text(params[n])}" for n in read)
             raise FixtureError(f"row {index}: {row.key}: {exc}; the row gives {given}") from exc
         recomputed, expected = (result.AA, result.g), (params["A2"], 3)
         flagged = recomputed != expected
@@ -286,8 +287,8 @@ def _verify_2_3(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[
         except ValueError as exc:  # every loaded int prints, but its square may not
             read += ("weights",) if "weights" in params else ()
             raise FixtureError(
-                f"row {index}: {row.key}: recomputed (A^2, g) = ({surflat.int_text(result.AA)}, "
-                f"{surflat.int_text(result.g)}) is too long to print; it is computed from the "
+                f"row {index}: {row.key}: recomputed (A^2, g) = ({int_text(result.AA)}, "
+                f"{int_text(result.g)}) is too long to print; it is computed from the "
                 f"fields {', '.join(map(repr, read))}"
             ) from exc
         yield Verdict(
@@ -885,7 +886,15 @@ def _parse_rules(spec: str) -> list:
 def _cmd_invariants(args) -> int:
     bundle = ProjBundleModel(BaseCurve(args.base_genus), args.rank, args.c1)
     invariants = veronese_invariants if args.veronese else quadric_invariants
-    print(json.dumps(invariants(bundle, args.b)._asdict()))
+    result = invariants(bundle, args.b)._asdict()
+    try:
+        text = json.dumps(result)
+    except ValueError as exc:  # every parsed int prints, but what it multiplies may not
+        raise ValueError(
+            f"invariants ({', '.join(result)}) = ({', '.join(map(int_text, result.values()))}) "
+            "are too long to print; they are computed from --base-genus, --rank, --c1 and --b"
+        ) from exc
+    print(text)
     return 0
 
 

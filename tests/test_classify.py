@@ -260,6 +260,12 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="empty fibre-dimension range"):
             enumerate_quadric_splittings(9, n_range=[])
 
+    def test_degree_past_the_rational_window_rejected(self):
+        # s < 0 at every n >= 3 from d = 13 on: no listing of tuples that are all excluded
+        message = "degree must be in 1..12, got 13: s < 0 at every fibre dimension n >= 3$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_quadric_splittings(13, n_range=[3])
+
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
             enumerate_quadric_splittings(6, n_range=range(2, 4))

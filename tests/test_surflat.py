@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from genus3.chowcurve import int_text
 from genus3.surflat import (
     FAMILIES,
     DegTRow,
@@ -10,7 +11,6 @@ from genus3.surflat import (
     WeightSequence,
     blow_up,
     deg_t_enumeration,
-    int_text,
     make_plane,
     make_ruled,
     minimalization_invariants,

@@ -29,6 +29,29 @@ from genus3.tablecli import (
 
 MISSING = object()
 
+FORMATS = ("table", "json", "csv")
+
+# tests/golden.json maps each pinned argument line to its exit code and the
+# SHA-256 of its stdout; its stderr is empty.  CI's installed-package step
+# checks the same lines against the installed console script
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+
+def pinned_digest(line):
+    # None for a line the manifest lacks, so that its test fails rather than the collection
+    return GOLDEN.get(line, {}).get("stdout_sha256")
+
+
+def assert_output_is_pinned(capsys, line, digest):
+    assert main(line.split()) == GOLDEN.get(line, {}).get("exit")
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+SELFTEST_PINS = [(fmt, pinned_digest(f"oracle-selftest --format {fmt}")) for fmt in ("table", "json")]
+
 
 def bundled_rows(table):
     return load_fixture(packaged_fixture_path(table))
@@ -645,6 +668,25 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, names, digits",
+        [
+            (["--base-genus", "0", "--rank", "4", "--b", "-2"], "d, g, s", (4301, 4300, 4301)),
+            (["--base-genus", "1", "--rank", "3", "--b", "-1", "--veronese"], "d, g", (4301, 4301)),
+        ],
+        ids=["quadric", "veronese"],
+    )
+    def test_invariants_past_the_digit_limit(self, capsys, argv, names, digits):
+        # --c1 parses at the interpreter's 4300-digit limit, but d and g pass it
+        assert main(["invariants", "--c1", "9" * 4300, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        numbers = ", ".join(f"an integer of {n} digits" for n in digits)
+        assert captured.err == (
+            f"error: invariants ({names}) = ({numbers}) are too long to print; "
+            "they are computed from --base-genus, --rank, --c1 and --b\n"
+        )
+
     def test_enumerate_table_output(self, capsys):
         assert main(["enumerate", "--d", "11"]) == 0
         out = capsys.readouterr().out
@@ -689,6 +731,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+    def test_enumerate_degree_past_the_rational_window(self, capsys):
+        # an explicit range at d >= 13 lists nothing: s < 0 there at every n >= 3
+        for d, given in (("13", "13"), ("40", "40"), ("9" * 4300, "an integer of 4300 digits")):
+            assert main(["enumerate", "--d", d, "--n-max", "3"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: degree must be in 1..12, got {given}: s < 0 at every fibre dimension n >= 3\n"
+            )
 
     def test_enumerate_unknown_rule(self, capsys):
         # no-double-minus-one is no rule: truncation positivity implies (3.11)
@@ -780,100 +832,67 @@ class TestCli:
         assert payload["passed"] is True
         assert payload["variant_identity_counterexamples"][0]["n"] == 3
 
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("table", "f9fac816e78357fb9ccfd75410b6b450b1c15ac7a2c21d90c846c3c65d4abcc6"),
-            ("json", "e25af53f413531a3622f99d646a61774302caa683c33e8bd498886ab60f5409c"),
-        ],
-    )
+    @pytest.mark.parametrize("fmt, digest", SELFTEST_PINS)
     def test_selftest_output_is_pinned(self, capsys, fmt, digest):
         # the whole report; the JSON lists all 124 counterexamples in their order
-        assert main(["oracle-selftest", "--format", fmt]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert_output_is_pinned(capsys, f"oracle-selftest --format {fmt}", digest)
 
 
-# stdout SHA-256 of `enumerate --d D --format F [--n-max N]`
-ENUMERATE_DIGESTS = [
-    (1, None, "table", "9ddd34ffe2d0a2f767010dcba72f66b0af3f509fb714df9a8266897ebcf1c2c2"),
-    (1, None, "json", "cbff49c9abe874d620d074c40302015d4e3d8d9de01eeac50b3b14280c0c811b"),
-    (1, None, "csv", "1dba9a3cc443ba99fcd6a0b589cd65a6afe5aecdd22efe71c0664a67c6ff1dfc"),
-    (2, None, "table", "aa6556bcff9dcf50202d06a2fdbdcc250ebe7955aac26b4a80d556f880770013"),
-    (2, None, "json", "35a7374647bbcb1d77ca007650ef13b75f25c3c64290a8a7d37d484364b93f95"),
-    (2, None, "csv", "69dd8b7c6cf4434a23bc847459fc6494522f431c3e368c824a80ea3208f3f30c"),
-    (3, None, "table", "3583e8d60db02ded53c713d1b760107b6caa4db2ca505ad4eceb89564c6f3a57"),
-    (3, None, "json", "ebee4acbad94546a77db3241a2f03d98d9816384ab517842a0364c6a8223d2c6"),
-    (3, None, "csv", "41048ee0af381f8bbceafd51a19b07baf6917670ee821b277f70a407b4eff440"),
-    (4, None, "table", "1d84b16266fb146c596102721b92385d1df9adef655af75932dad95822208299"),
-    (4, None, "json", "fd623f6d9647f7308c63c7bec895e0ce330229986dd09167f4098d2391dd9e26"),
-    (4, None, "csv", "4bac9003ac5aa4035c7433ac0cc85c3d89b1953eb49f3c2f55d46325c8dff3b5"),
-    (5, None, "table", "0f59b962172d49373dbed04b56e3cb2ddb3e685ebe207b5a0601f4606bc134ef"),
-    (5, None, "json", "b2dd2e7e4df2dc4cbd1cccb4e7d961574bdb5f45fadef630f7013033ac91d807"),
-    (5, None, "csv", "d8ba6f1ff2954ec64d37acc2a67fab8159960a179bb25fc16af748f27cc8e961"),
-    (6, None, "table", "f038d26a419c5bd2088f0c39728a81b2178d09a3bcb60c5845edfc9321e2aa79"),
-    (6, None, "json", "e8135bd9a073ab1341a691d25396e014d67be7a23e23379215369a6883f970a7"),
-    (6, None, "csv", "37caf7e35b53bb174947014c924d87c0b8a80f6222936d52abe6ec6466c9b7a1"),
-    (7, None, "table", "88d9af2201833c137e2319c29d78a158378c043d4f32b33caa8469056fda944c"),
-    (7, None, "json", "78eb791ee0c2488eb8b82d0a5a00690ab65bad1c1a3bd6e0a565d25dc88cdfa9"),
-    (7, None, "csv", "379230f5ced4a6e551edb264b04d7b18b811c6747bb93ea94633069f277fd18a"),
-    (8, None, "table", "8b228b28a39cabb13173c502ec18886e1395cc6dc92581b06b66807d6e8ef2e1"),
-    (8, None, "json", "0810e685da52439a8c34956de02f73fb58cb415ca81b56b55e78333349005fdf"),
-    (8, None, "csv", "c6f76ebceea276b15623e270c5a431d1fdf672d6c0be84da2f8695605d13bd42"),
-    (9, None, "table", "9ad8b15cde7c54981b21105436d08f264f94f2c54bfa5b9901f62e5a2e3d9da7"),
-    (9, None, "json", "ec049811b386307a7031e32ebeb5692c414d7249e4bc70c92ba912868e493fa1"),
-    (9, None, "csv", "da2aa5403b58b836d8f7e9c25bf5ebc1448cf7e7e3806583b3b899f6d8afafb6"),
-    (10, None, "table", "d5746411ea973bd8e05a45f910fd0a4cd87c958f4d6ed3994f22804e97ca61e0"),
-    (10, None, "json", "6e9db6567bba50a563af9ffce2dc18fede07a17841e1b3c39201b1e4bfe49c01"),
-    (10, None, "csv", "93a26422be068918c7889f34e97c176d6fbc7075b5609026c2929d288f723e48"),
-    (11, None, "table", "155caa2c87c98acc78bcd56218479d1132f308084c30ff59c8d1da8090a52ee0"),
-    (11, None, "json", "7a8ff6d50bd3ee8dfa5063a3372949492944f0854dd432b105392dfd75399ab8"),
-    (11, None, "csv", "312f74183606a45eb4b699b6b9b35ec2d9370f02e01f1a57e76fb371f772a6f8"),
-    (12, None, "table", "37ac55ef7a48a6128c2322d92642dd1078ced12374678981d56b03a1af8f818c"),
-    (12, None, "json", "0094ae1ad94cd0251f69ac251a042d244ea356a29d459ac57328afe143436232"),
-    (12, None, "csv", "126fc93b35218d6121463aaca99f4cfdd92f46793e466c1ad0dd72c2e1993fc2"),
-    (9, 14, "table", "a68f3ecb569b5d01fa6d1e37a14a84220a4ce52e183f81d3eb01e571e7a27853"),
-    (9, 14, "json", "213ab475ad4b667447136d10058460c90b77e9533ff35701032c1d6c407a2f9e"),
-    (9, 14, "csv", "bde54f536c1135a5d77f991aec090322e9477e81ddd1bc62e46168401dc35a3a"),
-    (11, 14, "table", "0cf928d70fa0be217ea22bad25eaa544233834512dc0fb9b2fb38b31d4385d5c"),
-    (11, 14, "json", "4d76f059c9f383d8d6bd415ac03e0c20cf920ce2c2c16ccb482d75af54afba71"),
-    (11, 14, "csv", "e1b30e124a9861417e97df2bbe03107128eff9a8b0a0992b5b37c67ccce9904c"),
-    (12, 14, "table", "d658d9daaffaad275a2b0fad804e8e2d7637761543ffdd29ff9706abad26ac0c"),
-    (12, 14, "json", "c97bb1f7574703c4a07ae30486559e7e4ef34d8c04dfd2e88f22c4363395d0f9"),
-    (12, 14, "csv", "68436ad1ad79d0070534711616093a6554e3266955899e457b681e0fcf463d70"),
+def enumerate_line(d, n_max, fmt):
+    return f"enumerate --d {d} --format {fmt}" + ("" if n_max is None else f" --n-max {n_max}")
+
+
+# `enumerate --d D --format F [--n-max N]` over every rational degree, and past
+# the default fibre dimensions for the three degrees whose lists grow there
+ENUMERATE_PINS = [
+    (d, n_max, fmt, pinned_digest(enumerate_line(d, n_max, fmt)))
+    for d, n_max in [(d, None) for d in range(1, 13)] + [(9, 14), (11, 14), (12, 14)]
+    for fmt in FORMATS
 ]
 
 
-@pytest.mark.parametrize("d, n_max, fmt, digest", ENUMERATE_DIGESTS)
+@pytest.mark.parametrize("d, n_max, fmt, digest", ENUMERATE_PINS)
 def test_enumerate_output_is_pinned(capsys, d, n_max, fmt, digest):
-    argv = ["enumerate", "--d", str(d), "--format", fmt]
-    assert main(argv + ([] if n_max is None else ["--n-max", str(n_max)])) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert_output_is_pinned(capsys, enumerate_line(d, n_max, fmt), digest)
 
 
-# stdout SHA-256 of `verify --table T --format F` on the bundled fixtures
-VERIFY_DIGESTS = [
-    ("2.3", "table", "98385baafba4f97314884005eb1892c87a3cdce29d63317ffb40019cde40de77"),
-    ("2.3", "json", "4e0cd2410d10a273ec1753a2a51a67f3a807812b3df6300d706d165290cfa462"),
-    ("2.3", "csv", "117fb3fac9b96d7db47e5017fadba31c143578449e1b37179203879e67339485"),
-    ("3.25", "table", "49801db4d03117608a8424548d2c6ec50ff8e9ef12aa11aa8a3d6afeabcd39c4"),
-    ("3.25", "json", "23b9e8c8e55112196aeeab239f95dbc4d60322cedb8067ee234c9678e0e8621e"),
-    ("3.25", "csv", "19e7e9c0f584ca80dd442ab3282f17e06f34ebf9bc94a163aa0eca106777d846"),
-    ("5.7", "table", "66c0985be8d898e456ee0c5e38afb9791070e3ec9faf507cbe84316bfb5e84a4"),
-    ("5.7", "json", "d4fb6c5b8d769d443b4bf40930c8ea1eea94be5469ea6778cd4017a1ea49c783"),
-    ("5.7", "csv", "5e441c8766dd10f31d33426c7846aa0cac958eda658076565093f599c963a546"),
-    ("2.8.2", "table", "fd2ba47583d63fa0a9d558ae7577bbb643ff09ae499bcab6a07ac042ac7916eb"),
-    ("2.8.2", "json", "938bab41f311d35dde39d3b91c5f0411315ab48c028fa938a8e470bb5ae413f0"),
-    ("2.8.2", "csv", "f8530b1449824a5f290ff22963232591084b974d0c48792e51947f792a90abf9"),
-    ("4.4", "table", "463c12c58e099ec4dc676514ce3fc64efd53911800991b86dec9a97106238e48"),
-    ("4.4", "json", "73e63b01890ec94c98fb319976fcf7ba1f326b2dc953b63bb24761832dbce22c"),
-    ("4.4", "csv", "9a381558d9c9b6306bda391775d209c6058d031b426ea3c1411d8b0ed17cf25c"),
+# `verify --table T --format F` on the bundled fixtures
+VERIFY_PINS = [
+    (table, fmt, pinned_digest(f"verify --table {table} --format {fmt}"))
+    for table in ("2.3", "3.25", "5.7", "2.8.2", "4.4")
+    for fmt in FORMATS
 ]
 
 
-@pytest.mark.parametrize("table, fmt, digest", VERIFY_DIGESTS)
+@pytest.mark.parametrize("table, fmt, digest", VERIFY_PINS)
 def test_verify_output_is_pinned(capsys, table, fmt, digest):
-    assert main(["verify", "--table", table, "--format", fmt]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert_output_is_pinned(capsys, f"verify --table {table} --format {fmt}", digest)
+
+
+# the manifest lines that the three grids above leave out
+GRID_LINES = (
+    {f"oracle-selftest --format {fmt}" for fmt, _ in SELFTEST_PINS}
+    | {enumerate_line(d, n_max, fmt) for d, n_max, fmt, _ in ENUMERATE_PINS}
+    | {f"verify --table {table} --format {fmt}" for table, fmt, _ in VERIFY_PINS}
+)
+OTHER_LINES = [line for line in GOLDEN if line not in GRID_LINES]
+
+
+@pytest.mark.parametrize("line", OTHER_LINES, ids=[line.replace(" ", "_") for line in OTHER_LINES])
+def test_cli_output_is_pinned(capsys, line):
+    assert_output_is_pinned(capsys, line, pinned_digest(line))
+
+
+def test_benchmark_pins_are_manifest_pins():
+    # perfbench/golden.json pins its CLI lines on its own; an output change must update both
+    benchmark = json.loads((GOLDEN_PATH.parents[1] / "perfbench" / "golden.json").read_text())
+    pinned = {(pin["stdout_sha256"], pin["exit"]) for pin in GOLDEN.values()}
+    unpinned = {
+        label: pin
+        for label, pin in benchmark["cli"].items()
+        if (pin["stdout_sha256"], pin["exit"]) not in pinned
+    }
+    assert len(benchmark["cli"]) == 10 and unpinned == {}
 
 
 FLAGS = sorted({flag for _, _, options in tablecli.COMMANDS.values() for flag in options})
