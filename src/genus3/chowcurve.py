@@ -48,9 +48,6 @@ def int_text(value: int) -> str:
     return f"an integer of {digits} digits"
 
 
-_tuple_new = tuple.__new__  # a module global: one lookup fewer on every record built
-
-
 class Record(tuple):
     """Base of genus3's records: named tuples without ``collections``' per-class ``eval``.
 
@@ -75,14 +72,11 @@ class Record(tuple):
             setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
         cls._fields = cls.__match_args__ = fields
         cls._field_defaults = defaults
-        # for keyword-only calls: every field in order, with its default or None
-        cls._keyword_fill = dict.fromkeys(fields) | defaults
-        cls._required_fields = frozenset(fields) - defaults.keys()
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
             args = _arguments(cls, args, kwargs)
-        return _tuple_new(cls, args)
+        return tuple.__new__(cls, args)
 
     @classmethod
     def _make(cls, iterable: Iterable) -> Record:
@@ -108,18 +102,8 @@ class Record(tuple):
         return tuple(self)
 
 
-def _arguments(cls: type[Record], args: tuple, kwargs: dict) -> tuple | list:
-    """The field values of ``cls(*args, **kwargs)``, or the named tuple's ``TypeError``.
-
-    A keyword-only call that names every required field and no unknown
-    one fills ``_keyword_fill`` in C: the fill keeps the fields' order,
-    and an unknown name would grow it past them.  Every other call binds
-    field by field, which also finds the error to raise.
-    """
-    if not args and kwargs.keys() >= cls._required_fields:
-        filled = cls._keyword_fill | kwargs
-        if len(filled) == len(cls._fields):
-            return tuple(filled.values())
+def _arguments(cls: type[Record], args: tuple, kwargs: dict) -> list:
+    """The field values of ``cls(*args, **kwargs)``, or the named tuple's ``TypeError``."""
     fields = cls._fields
     rest, given = fields[len(args):], cls._field_defaults | kwargs
     if len(args) > len(fields):

@@ -310,7 +310,7 @@ def _published_at(rows: Iterable[ClassificationRow], d: int) -> dict[tuple[int, 
 def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
     from . import classify
 
-    for d in _rational_d_window():  # verify has checked every row's d into the window
+    for d in _rational_base().d_range:  # verify has checked every row's d into the window
         published = _published_at(rows, d)
         candidates = classify.enumerate_quadric_splittings(d, paper_rows=published)
         admitted = [c for c in candidates if c.rule is None]
@@ -382,7 +382,9 @@ def _is_splitting(value) -> bool:
 def _check_2_3(index: int, raw: Mapping) -> None:
     """A 2.3 row's family and that family's integer parameters; the optional
     integer ``e``, positive integer weights and boolean ``expect_discrepancy``."""
-    families = _families_2_3()
+    from . import surflat
+
+    families = surflat.FAMILIES
     _require(
         index, raw, "family",
         lambda v: isinstance(v, str) and v in families, "one of " + ", ".join(families),
@@ -401,27 +403,14 @@ def _check_2_3(index: int, raw: Mapping) -> None:
         _require(index, raw, "expect_discrepancy", lambda v: type(v) is bool, "true or false")
 
 
-# the schema checks run once per row, so the engine data they read is looked up
-# once, not imported per row
+# the 3.25 schema check runs once per row, so the parameters it reads are built once
 @cache
-def _families_2_3() -> Mapping:
-    from . import surflat
-
-    return surflat.FAMILIES
-
-
-@cache
-def _rational_base(n: int) -> classify.QuadricParams:
-    """The rational base's ``classify.QuadricParams`` at fibration dimension ``n``."""
+def _rational_base() -> classify.QuadricParams:
+    """The rational base's ``classify.QuadricParams`` at n = 3, where its degree
+    window is widest; ``e(d)`` reads no n, so it serves every row."""
     from . import classify
 
-    return classify.QuadricParams(0, n)
-
-
-@cache
-def _rational_d_window() -> range:
-    """The rational base's degree window, widest at n = 3."""
-    return _rational_base(3).d_range
+    return classify.QuadricParams(0, 3)
 
 
 def _check_3_25(index: int, raw: Mapping) -> None:
@@ -432,9 +421,10 @@ def _check_3_25(index: int, raw: Mapping) -> None:
         _is_splitting, "an integer array, ascending, with at least 4 entries",
     )
     _require(index, raw, "status", _is_text, "printable text")
-    window = _rational_d_window()
+    base = _rational_base()
+    window = base.d_range
     _require(index, raw, "d", window.__contains__, f"in [{window[0]}, {window[-1]}]")
-    e = _rational_base(len(raw["splitting"]) - 1).e(raw["d"])
+    e = base.e(raw["d"])
     _require(index, raw, "splitting", lambda v: sum(v) == e, f"an array summing to e = {e}")
 
 

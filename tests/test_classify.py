@@ -536,8 +536,8 @@ class TestPatternCache:
             gc.enable()
 
     def test_the_cache_holds_immutable_tables_and_no_returned_list(self):
-        table, sizes = classify._patterns(11, 7, 15)
-        assert type(table) is tuple and type(sizes) is frozenset
+        table = classify._patterns(11, 7, 15)
+        assert type(table) is tuple
         assert all(
             type(pattern) is tuple and type(pattern[0]) is tuple and type(pattern[2]) is tuple
             for pattern in table
@@ -563,6 +563,15 @@ class TestPatternCache:
                 enumerate_quadric_splittings(d)
         # 24 keys: (d, d - 4, 15) for the sweep and one per degree's default range
         assert (info().misses, info().hits, info().currsize) == (24, 24, 24)
+        # the figures in _patterns' docstring
+        widths = {d: (15, max(default_n_range(d)) + 1) for d in range(1, 13)}
+        sizes = {
+            (d, d - 4, w): len(classify._patterns(d, d - 4, w)) for d in widths for w in widths[d]
+        }
+        assert (info().misses, info().currsize) == (24, 24)
+        assert sum(sizes.values()) == 9238
+        assert max(sizes, key=sizes.get) == (11, 7, 15) and sizes[11, 7, 15] == 2744
+        assert len(classify._patterns(11, 7, 23)) == 67117
 
 
 class TestTraceEquivalence:
@@ -627,6 +636,37 @@ class TestRuleOrder:
             expected = self.statuses(d, n_range, default_rules())
             for chain in chains:
                 assert self.statuses(d, n_range, chain) == expected, (d, [r.name for r in chain])
+
+
+class TestRuleAblation:
+    """Which cited bounds change the result: the candidates each rule alone excludes."""
+
+    @staticmethod
+    def admitted(n_range, chain):
+        return sum(
+            c.rule is None
+            for d in range(1, 13)
+            for c in enumerate_quadric_splittings(d, n_range, [rule() for rule in chain])
+        )
+
+    # truncation positivity stays: the enumerator refuses a chain without it
+    @pytest.mark.parametrize(
+        "n_range, extra",
+        [
+            (None, {"param-consistency": 0, "floor-bound": 10, "cited-cap": 23,
+                    "corank1-empty": 2, "normal-obstruction": 2}),
+            (range(3, 11), {"param-consistency": 4, "floor-bound": 10, "cited-cap": 113,
+                            "corank1-empty": 2, "normal-obstruction": 2}),
+        ],
+        ids=["default", "n-3-to-10"],
+    )
+    def test_extra_admitted_without_each_rule(self, n_range, extra):
+        assert self.admitted(n_range, classify.RULES) == 49
+        removable = [rule for rule in classify.RULES if rule is not TruncationPositivityRule]
+        assert {
+            rule.name: self.admitted(n_range, [r for r in classify.RULES if r is not rule]) - 49
+            for rule in removable
+        } == extra
 
 
 @pytest.fixture(scope="module")
