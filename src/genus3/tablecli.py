@@ -674,21 +674,23 @@ def oracle_selftest() -> SelfTestReport:
     grid at rank 8 and finds no mismatch.
 
     The loops run rank, c1, b, g(C), outermost first, so each piece of
-    work sits in the outermost loop that fixes what it reads.  Per rank:
-    for every b, the tail H^(rank-2)·(2H + bF) as one list of (h, f)
-    pairs, which the ring multiplies as it is and the oracle expands in
-    Z[H, F] by ``naive_expand``, and the ring's degree factors H·tail.  Per
+    work sits in the outermost loop that fixes what it reads.  Before the
+    loops: the three base curves.  Per rank: for every b, the tail
+    H^(rank-2)·(2H + bF) as one list of (h, f) pairs, which the ring
+    multiplies as it is; the oracle's two products, each the tail with one
+    more factor, expanded in Z[H, F] by ``naive_expand``: X_H = H·tail, the
+    degree, and X_F = F·tail; and the ring's degree factors H·tail.  The
+    expansion applies no ring relation, so it does not read c1.  Per
     (rank, c1): the bundle, adjoint_h and k_f at each g(C).  Per (rank, c1,
-    b): the oracle's two products, each continuing from the tail with one
-    more factor and reduced by ``naive_reduce`` only once it is whole: X_H
-    = H·tail, the degree, and X_F = F·tail.  Neither reads g(C), so the
-    innermost loop reads both at all three g(C).  A naive product is
-    linear in its leading factor, so the oracle's adjoint number, the
-    product with one more K + (2H + bF) + (rank-2)·H = adjoint_h·H + (k_f +
-    b)·F, is read as adjoint_h·X_H + (k_f + b)·X_F.  On this grid
-    adjoint_h is 0 (K = -rank·H + k_f·F), so the adjoint comparison reads
-    only X_F.  A leading factor with a nonzero H part is compared, ring
-    against oracle, by
+    b): the one ``naive_reduce`` of each whole product, the only step that
+    reads c1.  Neither reads g(C), so the innermost loop reads both at all
+    three g(C).  A naive product is linear in its leading factor, so the
+    oracle's adjoint number, the product with one more K + (2H + bF) +
+    (rank-2)·H = adjoint_h·H + (k_f + b)·F, is read as adjoint_h·X_H +
+    (k_f + b)·X_F.  On this grid adjoint_h is 0 (K = -rank·H + k_f·F), so
+    the adjoint comparison reads only X_F; ``test_adjoint_h_part_is_read``
+    in tests/test_tablecli.py shifts K by H to make adjoint_h 1.  A leading
+    factor with a nonzero H part is compared, ring against oracle, by
     ``test_ring_matches_oracle_on_self_test_products_with_an_h_part`` in
     tests/test_properties.py.  No ring value is shared, and every grid
     point still runs the ring route (closed forms, both products, each
@@ -701,23 +703,28 @@ def oracle_selftest() -> SelfTestReport:
     identity_points = identity_failures = 0
     counterexamples: list[IdentityCounterexample] = []
 
+    curves = [(g_c, BaseCurve(g_c)) for g_c in (0, 1, 2)]
     for rank in range(3, 8):
-        # per b: the tail H^(rank-2)*(2H + bF), expanded for the oracle, and the
-        # ring's degree factors H*tail
+        # per b: the oracle's continuations H*tail and F*tail of the tail
+        # H^(rank-2)*(2H + bF), expanded but not reduced, and the ring's degree
+        # factors H*tail
         tails = []
         for b in range(-6, 7):
             tail = [(1, 0)] * (rank - 2) + [(2, b)]
-            tails.append((b, naive_expand(tail), [(1, 0), *tail], tail))
+            expanded = naive_expand(tail)
+            x_h_terms = naive_expand([(1, 0)], expanded)
+            x_f_terms = naive_expand([(0, 1)], expanded)
+            tails.append((b, x_h_terms, x_f_terms, [(1, 0), *tail], tail))
         for e in range(-6, 7):
             bases = []
-            for g_c in (0, 1, 2):
-                bundle = ProjBundleModel(BaseCurve(g_c), rank, e)
+            for g_c, curve in curves:
+                bundle = ProjBundleModel(curve, rank, e)
                 k_h, k_f = canonical_class(bundle)
                 # K + member + (rank - 2)*H: only its F-coefficient depends on b
                 bases.append((g_c, bundle, k_h + 2 + (rank - 2), k_f))
-            for b, expanded, ring_degree, tail in tails:
-                d_naive = naive_top_degree(rank, e, [(1, 0)], expanded)
-                x_f = naive_top_degree(rank, e, [(0, 1)], expanded)
+            for b, x_h_terms, x_f_terms, ring_degree, tail in tails:
+                d_naive = naive_top_degree(rank, e, (), x_h_terms)
+                x_f = naive_top_degree(rank, e, (), x_f_terms)
                 for g_c, bundle, adjoint_h, k_f in bases:
                     grid_points += 1
                     d, g, s = quadric_invariants(bundle, b)

@@ -555,16 +555,43 @@ class TestSelfTest:
     def test_broken_f_product_is_caught(self, monkeypatch):
         # the oracle's adjoint number is read linearly from X_H = H*tail and
         # X_F = F*tail; a wrong X_F must show wherever its coefficient is nonzero
-        real = tablecli.naive_top_degree
+        real = tablecli.naive_expand
 
-        def off_by_one(rank, c1, factors, *rest):
-            return real(rank, c1, factors, *rest) + (factors == [(0, 1)])
+        def off_by_one(factors, *rest):
+            coeffs = list(real(factors, *rest))
+            if factors == [(0, 1)]:
+                coeffs[1] += 1  # the H^(rank-1)*F term, which the reduction keeps
+            return coeffs
 
-        monkeypatch.setattr(tablecli, "naive_top_degree", off_by_one)
+        monkeypatch.setattr(tablecli, "naive_expand", off_by_one)
         report = oracle_selftest()
         # every grid point with k_f + b != 0: 175 of the 2,535 have k_f + b = 0
         assert report.grid_mismatches == 2360
         assert report.max_deviation == 14
+        assert report.passed is False
+
+    def test_adjoint_h_part_is_read(self, monkeypatch):
+        # adjoint_h is 0 on the grid; with K + H in place of K it is 1, and the
+        # ring's and the oracle's 2g - 2 both move by the degree d = 2*c1 + b,
+        # which the closed forms do not see
+        real = tablecli.canonical_class
+
+        def shifted(bundle):
+            k_h, k_f = real(bundle)
+            return k_h + 1, k_f
+
+        monkeypatch.setattr(tablecli, "canonical_class", shifted)
+        report = oracle_selftest()
+        degrees = [
+            2 * c1 + b
+            for rank in range(3, 8)
+            for c1 in range(-6, 7)
+            for b in range(-6, 7)
+            for g_c in (0, 1, 2)
+        ]
+        assert report.grid_points == len(degrees) == 2535
+        assert report.grid_mismatches == sum(d != 0 for d in degrees) == 2430
+        assert report.max_deviation == max(map(abs, degrees)) == 18
         assert report.passed is False
 
     def test_broken_shared_tail_is_caught(self, monkeypatch):
@@ -610,11 +637,12 @@ class TestSelfTest:
         # every grid point runs the ring route on its own bundle, both products
         # integrated by top_degree, and every bundle its own canonical class; the
         # oracle's two products H*tail and F*tail, functions of (rank, c1, b), are
-        # expanded once for all three base genera
+        # reduced once for all three base genera, and expanded once per (rank, b)
         calls = dict.fromkeys(
             (
                 "multiply_classes", "top_degree", "canonical_class",
                 "quadric_invariants", "veronese_invariants", "naive_top_degree",
+                "BaseCurve",
             ),
             0,
         )
@@ -630,6 +658,14 @@ class TestSelfTest:
 
         for name in calls:
             monkeypatch.setattr(tablecli, name, counted(name))
+        expanded = []
+        real_expand = tablecli.naive_expand
+
+        def counted_expand(factors, *rest):
+            expanded.append(len(factors))
+            return real_expand(factors, *rest)
+
+        monkeypatch.setattr(tablecli, "naive_expand", counted_expand)
         assert oracle_selftest().passed
         assert calls == {
             "multiply_classes": 5070,
@@ -638,7 +674,11 @@ class TestSelfTest:
             "quadric_invariants": 2535,
             "veronese_invariants": 507,
             "naive_top_degree": 1690,
+            "BaseCurve": 3,
         }
+        # per (rank, b): the tail's rank - 1 factors, then one for each of H*tail
+        # and F*tail
+        assert sum(expanded) == 13 * sum(rank - 1 + 2 for rank in range(3, 8)) == 390
 
     def test_variant_identity_counterexample(self):
         report = oracle_selftest()
