@@ -33,10 +33,12 @@ _PRINTED_DIGITS = 50  # below the least digit limit an interpreter can set, 640
 
 
 def int_text(value: int) -> str:
-    """``str(value)`` up to ``_PRINTED_DIGITS`` digits; past that, only how many it has.
+    """``str(value)`` up to ``_PRINTED_DIGITS`` digits; past that, its sign and digit count.
 
     An error message that names a value prints it with this, so its length is
     bounded, and an int past the interpreter's digit limit never reaches ``str``.
+    A negative one reads "a negative integer of N digits", so a bound keeps
+    its side of zero.
     """
     size = abs(value)
     if size < 10**_PRINTED_DIGITS:
@@ -45,7 +47,7 @@ def int_text(value: int) -> str:
     digits = (size.bit_length() - 1) * 30102 // 100000 + 1
     while size >= 10**digits:
         digits += 1
-    return f"an integer of {digits} digits"
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
 class Record(tuple):

@@ -552,30 +552,20 @@ def naive_expand(
     return coeffs
 
 
-def naive_product(
-    rank: int, c1: int, factors: Sequence[tuple[int, int]], start: Sequence[int] = (1,)
-) -> dict[tuple[int, int], int]:
-    """Expand ``start`` times a product of h*H + f*F factors, then reduce once.
+def naive_terms(coeffs: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The terms (k - j, j, c) of a ``naive_expand`` coefficient list of k + 1 entries.
 
-    ``start`` is a ``naive_expand`` coefficient list; no ring relation is
-    applied before ``naive_reduce`` sees the k + 1 terms of the whole product,
-    which are handed to it lazily as (k - j, j, coefficient).
+    ``coeffs[j]`` is the coefficient c of H^(k-j)*F^j, and the terms are
+    what ``naive_reduce`` takes.  They come as a list, so that one built
+    once can be reduced again at each c1.
     """
-    coeffs = naive_expand(factors, start)
     k = len(coeffs) - 1
-    return naive_reduce(rank, c1, zip(range(k, -1, -1), range(k + 1), coeffs))
+    return list(zip(range(k, -1, -1), range(k + 1), coeffs))
 
 
-def naive_top_degree(
-    rank: int, c1: int, factors: Sequence[tuple[int, int]], start: Sequence[int] = (1,)
-) -> int:
-    """The H^(rank-1)*F coefficient of ``naive_product``: the degree on P(E).
-
-    Like the expansion and the reduction, it is linear in each factor, so
-    with a leading factor (h, f) it equals h times its value with (1, 0)
-    plus f times its value with (0, 1), for any ``start``.
-    """
-    return naive_product(rank, c1, factors, start).get((rank - 1, 1), 0)
+def naive_top_degree(rank: int, c1: int, terms: Iterable[tuple[int, int, int]]) -> int:
+    """The H^(rank-1)*F coefficient of ``naive_reduce(rank, c1, terms)``: the degree on P(E)."""
+    return naive_reduce(rank, c1, terms).get((rank - 1, 1), 0)
 
 
 class IdentityCounterexample(Record):
@@ -678,18 +668,23 @@ def oracle_selftest() -> SelfTestReport:
     loops: the three base curves.  Per rank: for every b, the tail
     H^(rank-2)·(2H + bF) as one list of (h, f) pairs, which the ring
     multiplies as it is; the oracle's two products, each the tail with one
-    more factor, expanded in Z[H, F] by ``naive_expand``: X_H = H·tail, the
-    degree, and X_F = F·tail; and the ring's degree factors H·tail.  The
-    expansion applies no ring relation, so it does not read c1.  Per
-    (rank, c1): the bundle, adjoint_h and k_f at each g(C).  Per (rank, c1,
-    b): the one ``naive_reduce`` of each whole product, the only step that
-    reads c1.  Neither reads g(C), so the innermost loop reads both at all
-    three g(C).  A naive product is linear in its leading factor, so the
-    oracle's adjoint number, the product with one more K + (2H + bF) +
-    (rank-2)·H = adjoint_h·H + (k_f + b)·F, is read as adjoint_h·X_H +
-    (k_f + b)·X_F.  On this grid adjoint_h is 0 (K = -rank·H + k_f·F), so
-    the adjoint comparison reads only X_F; ``test_adjoint_h_part_is_read``
-    in tests/test_tablecli.py shifts K by H to make adjoint_h 1.  A leading
+    more factor, expanded in Z[H, F] by ``naive_expand`` and made by
+    ``naive_terms`` into the term list ``naive_reduce`` takes: X_H = H·tail,
+    the degree, and X_F = F·tail (130 term lists in all); and the ring's
+    degree factors H·tail.  The expansion applies no ring relation, so it
+    does not read c1.  Per (rank, c1): the bundle, adjoint_h and k_f at each
+    g(C).  Per (rank, c1, b): ``naive_top_degree`` of each term list, the
+    one ``naive_reduce`` of that whole product and the only step that reads
+    c1 (1,690 reads).  Neither reads g(C), so the innermost loop reads both
+    at all three g(C).  Expansion and reduction are both linear in each
+    factor, so a naive product's degree is linear in its leading factor:
+    with (h, f) leading it is h times the degree with (1, 0) plus f times
+    the degree with (0, 1), whatever the rest.  So the oracle's adjoint
+    number, the product with one more K + (2H + bF) + (rank-2)·H =
+    adjoint_h·H + (k_f + b)·F, is read as adjoint_h·X_H + (k_f + b)·X_F.
+    On this grid adjoint_h is 0 (K = -rank·H + k_f·F), so the adjoint
+    comparison reads only X_F; ``test_adjoint_h_part_is_read`` in
+    tests/test_tablecli.py shifts K by H to make adjoint_h 1.  A leading
     factor with a nonzero H part is compared, ring against oracle, by
     ``test_ring_matches_oracle_on_self_test_products_with_an_h_part`` in
     tests/test_properties.py.  No ring value is shared, and every grid
@@ -706,14 +701,14 @@ def oracle_selftest() -> SelfTestReport:
     curves = [(g_c, BaseCurve(g_c)) for g_c in (0, 1, 2)]
     for rank in range(3, 8):
         # per b: the oracle's continuations H*tail and F*tail of the tail
-        # H^(rank-2)*(2H + bF), expanded but not reduced, and the ring's degree
-        # factors H*tail
+        # H^(rank-2)*(2H + bF), expanded into term lists but not reduced, and
+        # the ring's degree factors H*tail
         tails = []
         for b in range(-6, 7):
             tail = [(1, 0)] * (rank - 2) + [(2, b)]
             expanded = naive_expand(tail)
-            x_h_terms = naive_expand([(1, 0)], expanded)
-            x_f_terms = naive_expand([(0, 1)], expanded)
+            x_h_terms = naive_terms(naive_expand([(1, 0)], expanded))
+            x_f_terms = naive_terms(naive_expand([(0, 1)], expanded))
             tails.append((b, x_h_terms, x_f_terms, [(1, 0), *tail], tail))
         for e in range(-6, 7):
             bases = []
@@ -723,8 +718,8 @@ def oracle_selftest() -> SelfTestReport:
                 # K + member + (rank - 2)*H: only its F-coefficient depends on b
                 bases.append((g_c, bundle, k_h + 2 + (rank - 2), k_f))
             for b, x_h_terms, x_f_terms, ring_degree, tail in tails:
-                d_naive = naive_top_degree(rank, e, (), x_h_terms)
-                x_f = naive_top_degree(rank, e, (), x_f_terms)
+                d_naive = naive_top_degree(rank, e, x_h_terms)
+                x_f = naive_top_degree(rank, e, x_f_terms)
                 for g_c, bundle, adjoint_h, k_f in bases:
                     grid_points += 1
                     d, g, s = quadric_invariants(bundle, b)

@@ -117,7 +117,8 @@ class TestIntText:
             assert int_text(value) == str(value)
 
     def test_past_50_digits_gives_the_digit_count(self):
-        # around powers of ten and of two, up to twice the interpreter's digit limit
+        # around powers of ten and of two, up to twice the interpreter's digit limit;
+        # a negative one also names its sign
         values = [v for k in range(50, 9000, 197) for v in (10**k - 1, 10**k, 2 ** (3 * k))]
         values += [-v for v in values]
         previous = sys.get_int_max_str_digits()
@@ -126,9 +127,10 @@ class TestIntText:
             digits = [len(str(abs(value))) for value in values]
         finally:
             sys.set_int_max_str_digits(previous)
+        signs = ["a negative" if value < 0 else "an" for value in values]
         assert [int_text(value) for value in values] == [
-            str(value) if n <= 50 else f"an integer of {n} digits"
-            for value, n in zip(values, digits)
+            str(value) if n <= 50 else f"{sign} integer of {n} digits"
+            for value, n, sign in zip(values, digits, signs)
         ]
 
 

@@ -616,6 +616,30 @@ class TestSelfTest:
         assert report.max_deviation == 1
         assert report.passed is False
 
+    def test_broken_term_list_is_caught(self, monkeypatch):
+        # the oracle's X_H = H*tail is made into its term list once per (rank, b)
+        # and reduced at every c1; a wrong term list must show as mismatches
+        real = tablecli.naive_terms
+        corrupted = []
+
+        def off_by_one(coeffs):
+            terms = real(coeffs)
+            # rank 7's X_H = 2H^7 + bH^6*F has eight coefficients; X_F has no H^7 term
+            if len(coeffs) == 8 and coeffs[0] != 0:
+                i, j, c = terms[1]
+                terms[1] = (i, j, c + 1)
+                corrupted.append((i, j))
+            return terms
+
+        monkeypatch.setattr(tablecli, "naive_terms", off_by_one)
+        report = oracle_selftest()
+        # one X_H per twist, each corrupted in its H^6*F term, which the reduction keeps
+        assert corrupted == [(6, 1)] * 13
+        # the oracle's degree at every grid point with rank 7: 3 base genera x 13 c1 x 13 twists
+        assert report.grid_mismatches == 507
+        assert report.max_deviation == 1
+        assert report.passed is False
+
     def test_ring_broken_for_one_base_genus_is_caught(self, monkeypatch):
         # the oracle's degree is shared across base genera; the ring's must not be
         real = tablecli.multiply_classes
@@ -637,12 +661,13 @@ class TestSelfTest:
         # every grid point runs the ring route on its own bundle, both products
         # integrated by top_degree, and every bundle its own canonical class; the
         # oracle's two products H*tail and F*tail, functions of (rank, c1, b), are
-        # reduced once for all three base genera, and expanded once per (rank, b)
+        # reduced once for all three base genera, and expanded and made into term
+        # lists once per (rank, b)
         calls = dict.fromkeys(
             (
                 "multiply_classes", "top_degree", "canonical_class",
                 "quadric_invariants", "veronese_invariants", "naive_top_degree",
-                "BaseCurve",
+                "naive_terms", "BaseCurve",
             ),
             0,
         )
@@ -674,6 +699,7 @@ class TestSelfTest:
             "quadric_invariants": 2535,
             "veronese_invariants": 507,
             "naive_top_degree": 1690,
+            "naive_terms": 130,
             "BaseCurve": 3,
         }
         # per (rank, b): the tail's rank - 1 factors, then one for each of H*tail
@@ -792,6 +818,24 @@ class TestCli:
                 f"error: fibre-dimension range 3..{given} has more values than a sequence can hold\n"
             )
             assert len(captured.err.encode()) <= 300
+
+    def test_enumerate_long_negative_values_name_their_sign(self, capsys):
+        # a bound past 50 digits is named by its length, and a negative one as negative
+        for argv, message in (
+            (
+                ["--d", "-1" + "0" * 60],
+                "degree must be >= 1, got a negative integer of 61 digits",
+            ),
+            (
+                ["--d", "5", "--n-min", "-" + "9" * 60, "--n-max", "5"],
+                "fibre-dimension range a negative integer of 60 digits..5 has more values "
+                "than a sequence can hold",
+            ),
+        ):
+            assert main(["enumerate", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, flag",
