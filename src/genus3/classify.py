@@ -185,17 +185,16 @@ class CitedCapRule:
     """
 
     name = "cited-cap"
+    # each cap keyed by its pattern: one lookup of a splitting's nonzero degrees finds it
+    _caps = {cap.pattern: cap for cap in N_CAPS}
 
     def check(self, splitting: tuple[int, ...], d: int, b: int, s: int) -> RuleResult | None:
         n = len(splitting) - 1
-        nonzero = tuple(a for a in splitting if a != 0)
-        for cap in N_CAPS:
-            if nonzero == cap.pattern and n > cap.n_max:
-                return RuleResult(
-                    self.name,
-                    f"pattern {cap.pattern} caps n at {cap.n_max}, got n = {n}",
-                    cap.citation,
-                )
+        cap = self._caps.get(tuple(filter(None, splitting)))
+        if cap is not None and n > cap.n_max:
+            return RuleResult(
+                self.name, f"pattern {cap.pattern} caps n at {cap.n_max}, got n = {n}", cap.citation
+            )
         for bound in ENTRY_BOUNDS:
             if d == bound.d and splitting[bound.index] < bound.minimum:
                 return RuleResult(
@@ -502,16 +501,6 @@ def _generate_splittings(d: int, e: int, dims: Sequence[int]) -> dict[int, list[
     return result
 
 
-def _first_failure(
-    checks: Sequence, splitting: tuple[int, ...] | None, d: int, b: int, s: int
-) -> RuleResult | None:
-    for check in checks:
-        trace = check(splitting, d=d, b=b, s=s)
-        if trace is not None:
-            return trace
-    return None
-
-
 # 3.14's collector is incremental, with counts that mean otherwise, and
 # enumerate_quadric_splittings moves no objects between its generations
 _GENERATIONAL_COLLECTOR = sys.version_info < (3, 14)
@@ -534,12 +523,14 @@ def enumerate_quadric_splittings(
     window ``QuadricParams(0, 3).d_range`` (1..12) is a ValueError: there
     s < 0 at every n >= 3, so every tuple would be excluded.
 
-    The leading run of rules whose verdict reads only (d, b, s), marked
-    ``reads_splitting = False``, is checked once per fibre dimension.
-    When one of them fires, every tuple at that n is excluded with that
-    one shared trace; otherwise the remaining rules run per candidate, on
-    the generator's plain tuples of exact ints.  Traces are the same as
-    when every rule runs on every candidate.
+    Each rule is called positionally, ``check(splitting, d, b, s)``, so a
+    caller's own rule must accept its four arguments by position.  The
+    leading run of rules whose verdict reads only (d, b, s), marked
+    ``reads_splitting = False``, is checked once per fibre dimension, with
+    ``None`` for the splitting.  When one of them fires, every tuple at
+    that n is excluded with that one shared trace; otherwise the remaining
+    rules run per candidate, on the generator's plain tuples of exact
+    ints.  Traces are the same as when every rule runs on every candidate.
 
     ``paper_rows`` optionally maps splitting tuples to the status text of
     the published table at this degree; admitted candidates found there
@@ -636,21 +627,27 @@ def enumerate_quadric_splittings(
         candidates = []
         for p in params:
             n, b, s = p.n, p.b(d), p.s(d)
-            trace = _first_failure(param_checks, None, d, b, s)
+            trace = None
+            for check in param_checks:
+                trace = check(None, d, b, s)
+                if trace is not None:
+                    break
             if trace is not None:
                 # all five Candidate fields, built in C: no Python-level call per tuple
                 fields = zip(generated[n], repeat(d), repeat(trace), repeat(None), repeat(False))
                 candidates.extend(map(tuple.__new__, repeat(Candidate), fields))
                 continue
             for degrees in generated[n]:
-                trace = _first_failure(splitting_checks, degrees, d, b, s)
-                if trace is not None:
-                    candidates.append(tuple.__new__(Candidate, (degrees, d, trace, None, False)))
-                    continue
-                known = None if paper_rows is None else paper_rows.get(degrees)
-                candidates.append(
-                    Candidate(degrees, d, None, known, paper_rows is not None and known is None)
-                )
+                for check in splitting_checks:
+                    trace = check(degrees, d, b, s)
+                    if trace is not None:
+                        candidates.append(tuple.__new__(Candidate, (degrees, d, trace, None, False)))
+                        break
+                else:
+                    known = None if paper_rows is None else paper_rows.get(degrees)
+                    candidates.append(
+                        Candidate(degrees, d, None, known, paper_rows is not None and known is None)
+                    )
     finally:
         if collecting:
             counts = gc.get_count()

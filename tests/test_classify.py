@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -601,9 +602,9 @@ class TestTraceEquivalence:
         calls = []
         check = ParamConsistencyRule.check
 
-        def counted(self, *args, **kwargs):
-            calls.append(kwargs["s"])
-            return check(self, *args, **kwargs)
+        def counted(self, splitting, d, b, s, /):
+            calls.append(s)
+            return check(self, splitting, d, b, s)
 
         monkeypatch.setattr(ParamConsistencyRule, "check", counted)
         candidates = enumerate_quadric_splittings(10, n_range=range(3, 15))
@@ -612,6 +613,53 @@ class TestTraceEquivalence:
         assert len(hoisted) > len(calls)
         # one shared trace per fibre dimension
         assert len({id(c.rule) for c in hoisted}) == len({c.n for c in hoisted})
+
+
+class TestChainWork:
+    """Each rule's check runs exactly as often as the chain needs it, first failure kept."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys((rule.name for rule in classify.RULES), 0)
+        for rule in classify.RULES:
+
+            def counted(self, splitting, d, b, s, /, check=rule.check):
+                counts[self.name] += 1
+                return check(self, splitting, d, b, s)
+
+            monkeypatch.setattr(rule, "check", counted)
+        return counts
+
+    def test_check_calls_over_the_sweep(self, calls):
+        assert sum(len(enumerate_quadric_splittings(d, range(3, 15))) for d in range(1, 13)) == 24203
+        assert calls == {
+            "param-consistency": 144,
+            "truncation-positivity": 2580,
+            "floor-bound": 248,
+            "cited-cap": 238,
+            "corank1-empty": 53,
+            "normal-obstruction": 51,
+        }
+
+    # b >= 0 at d <= 8, so no dimension is excluded wholesale and every tuple runs the chain
+    @pytest.mark.parametrize(
+        "d, count, first_failures",
+        [
+            (5, 28653, {"truncation-positivity": 28568, "cited-cap": 79, "floor-bound": 1, None: 5}),
+            (7, 41510, {"truncation-positivity": 41424, "cited-cap": 81, "floor-bound": 2, None: 3}),
+        ],
+    )
+    def test_wide_listings_run_every_candidate_through_the_chain(self, calls, d, count, first_failures):
+        candidates = enumerate_quadric_splittings(d, range(3, 31))
+        assert len(candidates) == count
+        assert Counter(c.rule and c.rule.rule for c in candidates) == first_failures
+        # one param-consistency call per fibre dimension; each later rule sees every tuple
+        # that passed the rules before it
+        expected, remaining = {"param-consistency": 28}, count
+        for rule in classify.RULES[1:]:
+            expected[rule.name] = remaining
+            remaining -= first_failures.get(rule.name, 0)
+        assert calls == expected
 
 
 class TestRuleOrder:
@@ -716,7 +764,31 @@ class TestRuleChecks:
         ok = SplittingType((-1, 0, 0, 0, 1))  # n = 4 is within the cap
         over = SplittingType((-1, 0, 0, 0, 0, 1))  # n = 5 is beyond it
         assert rule.check(ok, d=4, b=4, s=16) is None
-        assert rule.check(over, d=4, b=4, s=20).citation == "(3.12.1)"
+        assert rule.check(over, d=4, b=4, s=20) == RuleResult(
+            "cited-cap", "pattern (-1, 1) caps n at 4, got n = 5", "(3.12.1)"
+        )
+
+    @pytest.mark.parametrize("cap", classify.N_CAPS, ids=lambda cap: cap.citation)
+    def test_each_cap_is_found_by_its_pattern(self, cap):
+        negatives = tuple(a for a in cap.pattern if a < 0)
+        positives = cap.pattern[len(negatives):]
+
+        def check(n):
+            # d = 4: the (3.19) entry bound reads only d = 7
+            splitting = SplittingType(negatives + (0,) * (n + 1 - len(cap.pattern)) + positives)
+            p = QuadricParams(0, n)
+            return CitedCapRule().check(splitting, 4, p.b(4), p.s(4))
+
+        assert check(cap.n_max) is None
+        n = cap.n_max + 1
+        assert check(n) == RuleResult(
+            "cited-cap", f"pattern {cap.pattern} caps n at {cap.n_max}, got n = {n}", cap.citation
+        )
+
+    def test_cap_patterns_are_distinct(self):
+        # one cap per pattern: a lookup finds the one cap a scan would
+        patterns = [cap.pattern for cap in classify.N_CAPS]
+        assert len(patterns) == len(set(patterns)) == 15
 
     def test_entry_bounds(self):
         rule = CitedCapRule()
