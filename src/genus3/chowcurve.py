@@ -50,18 +50,26 @@ def int_text(value: int) -> str:
     return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
-class Record(tuple):
+class _RecordType(type):
+    """``Record``'s metaclass: a class body without ``__slots__`` gets ``()``."""
+
+    def __new__(mcls, name: str, bases: tuple, namespace: dict) -> type:
+        namespace.setdefault("__slots__", ())
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(tuple, metaclass=_RecordType):
     """Base of genus3's records: named tuples without ``collections``' per-class ``eval``.
 
     A subclass's fields are its own annotations, in order; a value given to
     a field in the class body is that field's default.  Each field reads
     through the stdlib named tuple's index accessor, and a record builds,
     compares, hashes, copies, pickles and reprs as that named tuple does.
+    As with ``typing.NamedTuple``'s class syntax, a record class gets empty
+    ``__slots__`` unless its body sets them, so no instance has a ``__dict__``.
     ``_make`` and ``_replace`` build through ``cls(...)``, so a subclass
     that validates in its own ``__new__`` validates on every path.
     """
-
-    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         fields = tuple(cls.__annotations__)
@@ -125,7 +133,6 @@ def _arguments(cls: type[Record], args: tuple, kwargs: dict) -> list:
 class BaseCurve(Record):
     """A smooth projective curve, carried only through its genus."""
 
-    __slots__ = ()
     genus: int
 
     def __new__(cls, genus: int) -> BaseCurve:
@@ -169,7 +176,6 @@ class ProjBundleModel(Record):
     that is all the Chow ring reads.
     """
 
-    __slots__ = ()
     base: BaseCurve
     rank: int
     c1: int
@@ -196,7 +202,6 @@ class DivisorClass(Record):
     concatenation and repetition.
     """
 
-    __slots__ = ()
     h: int
     f: int
 
@@ -228,7 +233,6 @@ class ChowElement(Record):
     there h is 0.  Above degree rank the class is zero.
     """
 
-    __slots__ = ()
     degree: int
     h: int
     hf: int
@@ -286,7 +290,6 @@ def canonical_class(bundle: ProjBundleModel) -> DivisorClass:
 class QuadricInvariants(Record):
     """Degree, sectional genus and smoothness defect of a member of |2H + bF|."""
 
-    __slots__ = ()
     d: int
     g: int
     s: int
@@ -335,7 +338,6 @@ def sectional_genus_divisor(
 class VeroneseInvariants(Record):
     """Degree and sectional genus of the polarization 2H + bF of a Veronese fibration."""
 
-    __slots__ = ()
     d: int
     g: int
 
@@ -381,7 +383,6 @@ def h0_sym2_twist(degrees: Sequence[int], t: int) -> int:
 class TruncationViolation(Record):
     """The first violated truncation codimension k and its non-positive number."""
 
-    __slots__ = ()
     k: int
     number: int
 
@@ -458,7 +459,6 @@ def corank1_emptiness(splitting: Sequence[int], b: int) -> int | None:
 class NormalObstructionDetail(Record):
     """The numbers behind ``normal_obstruction``'s verdict; ``branch`` names the case."""
 
-    __slots__ = ()
     index_set: tuple[int, ...]
     p: int
     q: int

@@ -33,7 +33,6 @@ class QuadricParams(chowcurve.Record):
     for g_C >= 2: s < 0 at every d >= 1, so only rational and elliptic bases occur.
     """
 
-    __slots__ = ()
     g_C: int
     n: int
 
@@ -61,10 +60,14 @@ class QuadricParams(chowcurve.Record):
         return range(1, max(self.s(0) // (self.s(0) - self.s(1)), 0) + 1)
 
 
+# the rational base at n = 3, where its degree window is widest: s falls with n
+# once b < 0; e(d) and b(d) read no n, so it serves every fibre dimension
+RATIONAL_BASE = QuadricParams(0, 3)
+
+
 class RuleResult(chowcurve.Record):
     """First violated rule for an excluded candidate."""
 
-    __slots__ = ()
     rule: str
     detail: str
     citation: str
@@ -139,7 +142,6 @@ class FloorBoundRule:
 class NCap(chowcurve.Record):
     """Cited cap on the fibre dimension for one nonzero-degree pattern."""
 
-    __slots__ = ()
     pattern: tuple[int, ...]  # sorted nonzero degrees; zeros pad freely
     n_max: int
     citation: str
@@ -148,7 +150,6 @@ class NCap(chowcurve.Record):
 class EntryBound(chowcurve.Record):
     """Cited lower bound on one sorted entry at a fixed degree."""
 
-    __slots__ = ()
     d: int
     index: int
     minimum: int
@@ -276,10 +277,9 @@ def default_n_range(d: int) -> range:
     re-proved here, since the caps are cited data).
     """
     chowcurve.require_ints("degree", (d,))
-    p = QuadricParams(0, 3)
-    if p.b(d) >= 0:
+    if RATIONAL_BASE.b(d) >= 0:
         return range(3, DEFAULT_N_CAP + 1)
-    return range(3, 3 + p.s(d) // -p.b(d) + 1)
+    return range(3, 3 + RATIONAL_BASE.s(d) // -RATIONAL_BASE.b(d) + 1)
 
 
 class Candidate(chowcurve.Record):
@@ -289,7 +289,6 @@ class Candidate(chowcurve.Record):
     the parameters e, b, s (rational base) and the status follow from it.
     """
 
-    __slots__ = ()
     splitting: tuple[int, ...]
     d: int
     rule: RuleResult | None = None  # None: admitted
@@ -300,8 +299,8 @@ class Candidate(chowcurve.Record):
     def n(self) -> int:
         return len(self.splitting) - 1
 
-    e = property(lambda self: QuadricParams(0, self.n).e(self.d))
-    b = property(lambda self: QuadricParams(0, self.n).b(self.d))
+    e = property(lambda self: RATIONAL_BASE.e(self.d))
+    b = property(lambda self: RATIONAL_BASE.b(self.d))
     s = property(lambda self: QuadricParams(0, self.n).s(self.d))
 
     @property
@@ -518,10 +517,11 @@ def enumerate_quadric_splittings(
     for each fibre dimension in ``n_range``, then applies the rules in
     order, recording either admission or the first excluding rule.  The
     output is canonically sorted by (n, splitting) and is deterministic.
-    The base is rational: e, b and s at each n come from
-    ``QuadricParams(0, n)``, which also rejects n < 3.  A degree past the
-    window ``QuadricParams(0, 3).d_range`` (1..12) is a ValueError: there
-    s < 0 at every n >= 3, so every tuple would be excluded.
+    The base is rational: b and s at each n come from ``QuadricParams(0, n)``,
+    which also rejects n < 3, and e from ``RATIONAL_BASE``.  A degree past the
+    window ``RATIONAL_BASE.d_range`` (1..12) is a ValueError, whatever
+    ``n_range`` is: there s < 0 at every n >= 3, so every tuple would be
+    excluded.
 
     Each rule is called positionally, ``check(splitting, d, b, s)``, so a
     caller's own rule must accept its four arguments by position.  The
@@ -577,6 +577,13 @@ def enumerate_quadric_splittings(
     chowcurve.require_ints("degree", (d,))
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {chowcurve.int_text(d)}")
+    window = RATIONAL_BASE.d_range
+    if d not in window:
+        # every tuple would be a param-consistency exclusion, and there are too many to list
+        raise ValueError(
+            f"degree must be in {window.start}..{window.stop - 1}, got {chowcurve.int_text(d)}: "
+            f"s < 0 at every fibre dimension n >= 3"
+        )
     if n_range is None:
         n_range = default_n_range(d)
     try:
@@ -593,13 +600,6 @@ def enumerate_quadric_splittings(
     dims = sorted(set(n_range))
     if not dims:
         raise ValueError(f"empty fibre-dimension range at d = {chowcurve.int_text(d)}")
-    window = QuadricParams(0, 3).d_range  # the widest: s falls with n once b < 0
-    if d not in window:
-        # every tuple would be a param-consistency exclusion, and there are too many to list
-        raise ValueError(
-            f"degree must be in {window.start}..{window.stop - 1}, got {chowcurve.int_text(d)}: "
-            f"s < 0 at every fibre dimension n >= 3"
-        )
     params = [QuadricParams(0, n) for n in dims]
     if rules is None:
         rules = default_rules()
@@ -623,7 +623,7 @@ def enumerate_quadric_splittings(
     gc.disable()
     try:
         # on a rational base e = d - 4 at every n, so one call serves every n
-        generated = _generate_splittings(d, params[0].e(d), dims)
+        generated = _generate_splittings(d, RATIONAL_BASE.e(d), dims)
         candidates = []
         for p in params:
             n, b, s = p.n, p.b(d), p.s(d)
@@ -671,7 +671,6 @@ def admitted_splittings(candidates: Sequence[Candidate]) -> list[tuple[int, ...]
 class VeroneseSolution(chowcurve.Record):
     """One Veronese-fibration parameter solution (g(C), e, b, d)."""
 
-    __slots__ = ()
     g_C: int
     e: int
     b: int
@@ -709,7 +708,6 @@ def veronese_solutions() -> list[VeroneseSolution]:
 class ReductionRecord(chowcurve.Record):
     """The (L^n, r, L'^n) reduction tuples and the Veronese blow-up bound on r."""
 
-    __slots__ = ()
     general_type_tuples: tuple[tuple[int, int, int], ...]
 
     @property
@@ -741,7 +739,6 @@ def reduction_tuples() -> ReductionRecord:
 class DeltaRecord(chowcurve.Record):
     """The nef-adjoint degree window."""
 
-    __slots__ = ()
     d_range: range
 
 

@@ -17,7 +17,6 @@ from .chowcurve import Record, int_text, require_ints
 class RuledModel(Record):
     """P^1-bundle over a curve of genus ``base_genus`` with c1(F) = e."""
 
-    __slots__ = ()
     base_genus: int
     e: int
 
@@ -25,7 +24,6 @@ class RuledModel(Record):
 class WeightSequence(Record):
     """Weights (m_r, ..., m_1) of a chain of (-1)-curve contractions."""
 
-    __slots__ = ()
     weights: tuple[int, ...]
 
     def __new__(cls, weights: Sequence[int]) -> WeightSequence:
@@ -55,7 +53,6 @@ class SurfaceLattice(Record):
     hashable.
     """
 
-    __slots__ = ()
     gram: tuple[tuple[int, ...], ...]
     K: tuple[int, ...]
     A: tuple[int, ...] | None
@@ -138,7 +135,6 @@ def sectional_genus_surface(KA: int, AA: int) -> int:
 class MinimalizationResult(Record):
     """Sectional genus, A^2 and K^2 of (S, A)."""
 
-    __slots__ = ()
     g: int
     AA: int
     KK: int
@@ -164,7 +160,6 @@ def minimalization_invariants(
 class DegTRow(Record):
     """One row of the quotient-degree bookkeeping: degT, degG = 1 - degT, c2 and L^3."""
 
-    __slots__ = ()
     degT: int
     degG: int
     c2: int

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -48,7 +48,6 @@ class FixtureError(ValueError):
 class ClassificationRow(Record):
     """One fixture row: its table, its key and the checked mapping itself."""
 
-    __slots__ = ()
     table: str
     key: str
     params: dict
@@ -60,7 +59,6 @@ class TableSpec(Record):
     ``check`` defaults to accepting every row.
     """
 
-    __slots__ = ()
     fields: tuple[str, ...]  # required integer fields, in exact-list tuple order
     key: Callable[[Mapping], str]
     recompute: Callable[[TableSpec, Sequence[ClassificationRow]], Iterable[Verdict]]
@@ -170,7 +168,6 @@ def packaged_fixture_path(table: str) -> str:
 class Verdict(Record):
     """One row's verdict, with the numbers it compared and how it counts."""
 
-    __slots__ = ()
     key: str
     verdict: str  # "verified" | "discrepancy" | "beyond-paper" | "paper-only"
     note: str = ""
@@ -228,7 +225,6 @@ def _json_document(payload: Mapping) -> str:
 class VerificationReport(Record):
     """Every verdict of one table's verification, in text, JSON or CSV."""
 
-    __slots__ = ()
     table: str
     verdicts: tuple[Verdict, ...]
 
@@ -310,7 +306,7 @@ def _published_at(rows: Iterable[ClassificationRow], d: int) -> dict[tuple[int, 
 def _verify_3_25(spec: TableSpec, rows: Sequence[ClassificationRow]) -> Iterator[Verdict]:
     from . import classify
 
-    for d in _rational_base().d_range:  # verify has checked every row's d into the window
+    for d in classify.RATIONAL_BASE.d_range:  # verify has checked every row's d into the window
         published = _published_at(rows, d)
         candidates = classify.enumerate_quadric_splittings(d, paper_rows=published)
         admitted = [c for c in candidates if c.rule is None]
@@ -403,28 +399,19 @@ def _check_2_3(index: int, raw: Mapping) -> None:
         _require(index, raw, "expect_discrepancy", lambda v: type(v) is bool, "true or false")
 
 
-# the 3.25 schema check runs once per row, so the parameters it reads are built once
-@cache
-def _rational_base() -> classify.QuadricParams:
-    """The rational base's ``classify.QuadricParams`` at n = 3, where its degree
-    window is widest; ``e(d)`` reads no n, so it serves every row."""
-    from . import classify
-
-    return classify.QuadricParams(0, 3)
-
-
 def _check_3_25(index: int, raw: Mapping) -> None:
     """A 3.25 row's ascending splitting and printable status; the degree lies in the
     rational-base window and the splitting sums to e."""
+    from . import classify
+
     _require(
         index, raw, "splitting",
         _is_splitting, "an integer array, ascending, with at least 4 entries",
     )
     _require(index, raw, "status", _is_text, "printable text")
-    base = _rational_base()
-    window = base.d_range
+    window = classify.RATIONAL_BASE.d_range
     _require(index, raw, "d", window.__contains__, f"in [{window[0]}, {window[-1]}]")
-    e = base.e(raw["d"])
+    e = classify.RATIONAL_BASE.e(raw["d"])
     _require(index, raw, "splitting", lambda v: sum(v) == e, f"an array summing to e = {e}")
 
 
@@ -571,7 +558,6 @@ def naive_top_degree(rank: int, c1: int, terms: Iterable[tuple[int, int, int]]) 
 class IdentityCounterexample(Record):
     """A grid point where the variant degree/defect relation fails: lhs != rhs."""
 
-    __slots__ = ()
     n: int
     d: int
     g_C: int
@@ -582,7 +568,6 @@ class IdentityCounterexample(Record):
 class SelfTestReport(Record):
     """The oracle self-test's counts, in text or JSON."""
 
-    __slots__ = ()
     grid_points: int
     grid_mismatches: int
     max_deviation: int

@@ -263,10 +263,13 @@ class TestEnumeration:
             enumerate_quadric_splittings(9, n_range=[])
 
     def test_degree_past_the_rational_window_rejected(self):
-        # s < 0 at every n >= 3 from d = 13 on: no listing of tuples that are all excluded
+        # s < 0 at every n >= 3 from d = 13 on: no listing of tuples that are all excluded;
+        # the window is checked before the range, so the default range, empty only
+        # because d is past the window, an empty range and a too-long one give this line
         message = "degree must be in 1..12, got 13: s < 0 at every fibre dimension n >= 3$"
-        with pytest.raises(ValueError, match=message):
-            enumerate_quadric_splittings(13, n_range=[3])
+        for n_range in ([3], None, [], range(3, 10**30)):
+            with pytest.raises(ValueError, match=message):
+                enumerate_quadric_splittings(13, n_range=n_range)
 
     @pytest.mark.parametrize(
         "n_range, bounds",
@@ -558,12 +561,17 @@ class TestPatternCache:
         info = classify._patterns.cache_info
         assert type(info().maxsize) is int
         classify._patterns.cache_clear()
-        for _ in range(2):
-            for d in range(1, 13):
-                enumerate_quadric_splittings(d, n_range=range(3, 15))
-                enumerate_quadric_splittings(d)
+        cold, warm = (
+            [
+                enumerate_quadric_splittings(d, n_range=n_range)
+                for d in range(1, 13)
+                for n_range in (range(3, 15), None)
+            ]
+            for _ in range(2)
+        )
         # 24 keys: (d, d - 4, 15) for the sweep and one per degree's default range
         assert (info().misses, info().hits, info().currsize) == (24, 24, 24)
+        assert warm == cold
         # the figures in _patterns' docstring
         widths = {d: (15, max(default_n_range(d)) + 1) for d in range(1, 13)}
         sizes = {
@@ -914,7 +922,7 @@ class TestCollectorSwitch:
     def test_the_callers_setting_holds(self, collector, enabled):
         (gc.enable if enabled else gc.disable)()
         enumerate_quadric_splittings(9, n_range=range(3, 15))
-        assert gc.isenabled() is enabled
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
 
     def test_a_rule_that_raises_partway_leaves_the_collector_on(self, collector):
         class Raises:

@@ -95,6 +95,19 @@ def test_a_class_body_value_is_the_field_default():
     assert type(vars(Pair)["second"]) is ACCESSOR
 
 
+def test_a_record_body_without_slots_gets_empty_slots():
+    # Record supplies __slots__ = (), so an instance takes no undeclared attribute
+    class Pair(Record):
+        first: int
+        second: str = "none"
+
+    assert vars(Pair)["__slots__"] == ()
+    pair = Pair(1)
+    with pytest.raises(AttributeError):
+        pair.third = 3
+    assert not hasattr(pair, "__dict__")
+
+
 def test_a_field_without_a_default_after_one_with_a_default_is_rejected():
     with pytest.raises(TypeError, match="'second' has no default"):
         class Pair(Record):

@@ -776,16 +776,18 @@ class TestCli:
         assert "truncation" in capsys.readouterr().err
 
     def test_enumerate_empty_dimension_range(self, capsys):
-        # an explicit empty range, and d = 13 whose default range is empty
-        for argv, d in (
-            (["--d", "9", "--n-min", "5", "--n-max", "3"], 9),
-            (["--d", "13"], 13),
-            (["--d", "13", "--n-min", "4"], 13),
+        # an explicit empty range; at d = 13, whose default range is empty, the
+        # degree window is the cause, and its line is the one given
+        window = "degree must be in 1..12, got 13: s < 0 at every fibre dimension n >= 3"
+        for argv, error in (
+            (["--d", "9", "--n-min", "5", "--n-max", "3"], "empty fibre-dimension range at d = 9"),
+            (["--d", "13"], window),
+            (["--d", "13", "--n-min", "4"], window),
         ):
             assert main(["enumerate", *argv]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"error: empty fibre-dimension range at d = {d}\n" == captured.err
+            assert f"error: {error}\n" == captured.err
 
     def test_internal_error_exits_2_without_traceback(self, monkeypatch, capsys):
         # exit 1 means only "unexpected verdict"; any other failure is exit 2
